@@ -222,10 +222,11 @@ def serving_cache_comparison(
             ServingSpec(arrival_qps=float(qps), max_batch=max_batch, seed=seed),
         ).simulate(n_requests)
         cached = InferenceServer(
-            DLRMInferencePipeline(pipeline_config, n_devices, backend=f"{backend}+cache"),
-            ServingSpec(
-                arrival_qps=float(qps), max_batch=max_batch, seed=seed, cache=cache
+            DLRMInferencePipeline(
+                pipeline_config, n_devices, backend=f"{backend}+cache",
+                features=FeatureSpec(cache=cache),
             ),
+            ServingSpec(arrival_qps=float(qps), max_batch=max_batch, seed=seed),
         ).simulate(n_requests)
         out.append((float(qps), plain, cached))
     return out

@@ -56,13 +56,13 @@ __all__ = [
 
 
 def cached_retrieval_for(emb, base: str) -> CachedRetrieval:
-    """Build a :class:`CachedRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`CachedRetrieval` bound to an EMB host
+    (see :func:`~repro.core.factory.build_adapter`; the registry
     factories' shared implementation)."""
-    config = emb.cache_config
+    config = emb.features.cache
     if config is not None and not isinstance(config, CacheConfig):
         raise TypeError(
-            f"DistributedEmbedding cache must be a CacheConfig, got {type(config).__name__}"
+            f"features.cache must be a CacheConfig, got {type(config).__name__}"
         )
     return CachedRetrieval(
         emb.cluster,

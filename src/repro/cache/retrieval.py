@@ -324,18 +324,6 @@ class CachedRetrieval(RetrievalBackend):
 
     # -- timed path ---------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Cache pass + base-backend simulation (``workloads`` is ignored —
-        the cost model depends on the index values, so the adjusted
-        workloads are derived from ``batch``)."""
-        if batch is None:
-            raise ValueError("cached backends need the SparseBatch (index values)")
-        return self.run_plan(self.plan_batch(batch))
-
     def run_plan(self, cplan: CacheBatchPlan) -> PhaseTiming:
         """Simulate an already-planned batch and stamp the cache counters."""
         timing = self.base.run_batch(cplan.workloads)
@@ -345,14 +333,24 @@ class CachedRetrieval(RetrievalBackend):
     def batch_process(
         self,
         cluster: Cluster,
-        cplan: CacheBatchPlan,
+        workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one planned batch — composable into larger
-        host programs (the inference pipeline's EMB stage).
-        ``stream_suffix`` passes through to the wrapped backend's per-batch
-        stream set."""
+        """Cache pass now, at dispatch, then the base backend's generator
+        over the adjusted workloads (``workloads`` is ignored — the cost
+        model depends on the index values, so the adjusted workloads are
+        derived from ``batch``).  ``stream_suffix`` passes through to the
+        wrapped backend's per-batch stream set."""
+        if batch is None:
+            raise ValueError("cached backends need the SparseBatch (index values)")
+        return self._planned_process(cluster, self.plan_batch(batch), timing, stream_suffix)
+
+    def _planned_process(
+        self, cluster: Cluster, cplan: CacheBatchPlan, timing: PhaseTiming, stream_suffix: str
+    ):
         yield from self.base.batch_process(
             cluster, cplan.workloads, timing, stream_suffix=stream_suffix
         )

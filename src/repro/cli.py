@@ -35,6 +35,7 @@ from typing import List, Optional
 from .bench.runner import EXPERIMENT_IDS, ExperimentRunner
 from .bench.sweeps import batch_size_sweep, pooling_sweep, table_count_sweep
 from .compress import CODEC_NAMES
+from .core.factory import parse_backend_name
 from .core.planner import plan_table_wise
 from .core.retrieval import DistributedEmbedding, available_backends, backend_spec
 from .core.runspec import PRESETS
@@ -596,19 +597,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
     rows = []
     for info in available_backends():
-        flags = [info.base]
-        if info.cached:
-            flags.append("cache")
-        if info.resilient:
-            flags.append("resilient")
-        if info.compressed:
-            flags.append("compress")
-        if info.replicated:
-            flags.append("replication")
-        if info.resharded:
-            flags.append("reshard")
-        if info.hierarchical:
-            flags.append("hier")
+        base, features = parse_backend_name(info)
+        flags = [base, *features]
         if info.requires_indices:
             flags.append("indices")
         if info.traceable:

@@ -229,30 +229,19 @@ class CompressedRetrieval(RetrievalBackend):
 
     # -- timed path ---------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch; decode is charged on the destinations."""
-        if self.passthrough:
-            # Zero-overhead passthrough: same events, spans, counters, and
-            # timing as the bare base backend.
-            return self.base.run_batch(workloads)
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one batch — composable into larger host
-        programs.  ``stream_suffix`` passes through to the wrapped backend's
-        per-batch stream set."""
+        """Process generator for one batch; decode is charged on the
+        destinations.  ``stream_suffix`` passes through to the wrapped
+        backend's per-batch stream set.  The fp32 passthrough is the bare
+        base backend's events, spans, counters and timing."""
         if self.passthrough:
             yield from self.base.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix

@@ -19,7 +19,11 @@ feature wrappers attach:
   stack;
 * :func:`build_adapter` — builds the adapter for any registered backend
   name from the parsed form; the per-package registry entries are thin
-  aliases over this function;
+  aliases over this function, and every entry point that runs an EMB
+  stage (``DistributedEmbedding``, the inference pipeline and through it
+  the server and the training step) gets its adapter here;
+* :func:`default_cluster` — the cluster an entry point builds when it is
+  given none (a multi-node one for a configured ``"+hier"`` backend);
 * :func:`build_backend` — the top-level entry: a fully-composed
   :class:`~repro.core.retrieval.DistributedEmbedding` from a
   :class:`~repro.core.runspec.RunSpec` alone, adapter pre-built so
@@ -42,6 +46,7 @@ __all__ = [
     "FeatureSpec",
     "build_adapter",
     "build_backend",
+    "default_cluster",
     "parse_backend_name",
 ]
 
@@ -71,14 +76,14 @@ _FEATURE_BUILDERS: Dict[str, Tuple[str, str]] = {
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Per-feature configuration bundle of one ``DistributedEmbedding``.
+    """Per-feature configuration bundle of one EMB entry point
+    (``DistributedEmbedding`` or ``DLRMInferencePipeline``).
 
     Each field configures the wrapper the matching ``+<feature>`` backend
     suffix selects; fields for features the chosen backend does not use
     are ignored (a spec can be shared across A/B backend comparisons).
     Field types are validated where they are consumed — the ``obs``
-    section at :class:`~repro.core.retrieval.DistributedEmbedding`
-    construction, each feature config when its adapter is built — so a
+    section here, each feature config when its adapter is built — so a
     ``FeatureSpec`` never imports feature packages it does not mention.
 
     Attributes
@@ -109,6 +114,15 @@ class FeatureSpec:
     reshard: Optional[object] = None
     hier: Optional[object] = None
     obs: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.obs is not None:
+            from ..obs import TraceSpec
+
+            if not isinstance(self.obs, TraceSpec):
+                raise TypeError(
+                    f"obs must be a repro.obs.TraceSpec, got {type(self.obs).__name__}"
+                )
 
     def configured(self) -> Tuple[str, ...]:
         """Names of the fields that are set, in declaration order."""
@@ -164,6 +178,10 @@ def build_adapter(emb, name: str):
     registry entries are thin ``lambda emb: build_adapter(emb, name)``
     aliases, so composition lives in exactly one place.  Bare base names
     fall through to the registry's own factories.
+
+    ``emb`` is any EMB host exposing ``cluster``, ``plan``, ``features``,
+    ``collective_spec``, ``pgas_spec``, ``sharded`` (None when timing
+    only) and ``weight_buffers`` (None when weights are not accounted).
     """
     base, features = parse_backend_name(name)
     if not features:
@@ -173,6 +191,29 @@ def build_adapter(emb, name: str):
     module_name, builder_name = _FEATURE_BUILDERS[features[0]]
     builder = getattr(importlib.import_module(module_name), builder_name)
     return builder(emb, base)
+
+
+def default_cluster(n_devices: int, backend: str, features: FeatureSpec):
+    """The cluster an EMB entry point builds when it is given none.
+
+    A ``"+hier"`` backend with a configured node geometry gets a matching
+    multi-node cluster (NVLink within nodes, NIC across); every other
+    backend gets the single-node NVLink box.
+    """
+    from ..simgpu.cluster import dgx_v100, multinode
+
+    hier = features.hier
+    if hier is not None and "hier" in parse_backend_name(backend)[1]:
+        from ..comm.hier import HierSpec
+
+        if not isinstance(hier, HierSpec):
+            raise TypeError(
+                f"hier must be a repro.comm.hier.HierSpec, got {type(hier).__name__}"
+            )
+        hier.validate_for(n_devices)
+        if hier.devices_per_node > 1:
+            return multinode(n_devices // hier.devices_per_node, hier.devices_per_node)
+    return dgx_v100(n_devices)
 
 
 def build_backend(
@@ -195,18 +236,9 @@ def build_backend(
     """
     from .retrieval import DistributedEmbedding
 
-    features = FeatureSpec(
-        cache=runspec.cache,
-        resilience=runspec.resilience,
-        compression=runspec.compression,
-        replication=runspec.replication,
-        reshard=runspec.reshard,
-        hier=runspec.hier,
-        obs=runspec.obs,
-    )
     kwargs = dict(
         backend=runspec.backend,
-        features=features,
+        features=runspec.features(),
         materialize=materialize,
         cluster=cluster,
         rng=rng,

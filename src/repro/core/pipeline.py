@@ -14,9 +14,11 @@ EMB layer:
    mini-batch;
 4. device synchronisation.
 
-The EMB step is the pluggable part: either retrieval backend's
-``batch_process`` composes here unchanged, so the pipeline quantifies what
-the paper's EMB-layer speedups mean for whole-model latency (Amdahl).
+The EMB step is the pluggable part: the factory-built adapter of any
+registered backend composes here through its ``batch_process``, the same
+EMB program :class:`~repro.core.retrieval.DistributedEmbedding` times, so
+the pipeline quantifies what the paper's EMB-layer speedups (and each
+feature's) mean for whole-model latency (Amdahl).
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
 from ..dlrm.interaction import interaction_output_dim
 from ..obs import traced, trace_scope
-from ..simgpu.cluster import Cluster, dgx_v100
+from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, execute_kernel
 from ..simgpu.profiler import TraceRef
 from ..simgpu.units import gbps
-from .baseline import BaselineRetrieval, PhaseTiming
+from .baseline import PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
-from .pgas_retrieval import PGASFusedRetrieval
-from .retrieval import BackendName, backend_spec
+from .factory import FeatureSpec, build_adapter, default_cluster
+from .retrieval import BackendName, RetrievalBackend
 from .sharding import TableWiseSharding, minibatch_bounds
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
@@ -132,6 +134,11 @@ class PipelineTiming:
 class DLRMInferencePipeline:
     """Full-model timed inference with a pluggable EMB backend."""
 
+    #: The EMB stage runs timing-only: there are no materialised weights and
+    #: no weight-storage accounting for the backend adapters to use.
+    sharded = None
+    weight_buffers = None
+
     def __init__(
         self,
         config: PipelineConfig,
@@ -144,9 +151,7 @@ class DLRMInferencePipeline:
         h2d_bandwidth: float = H2D_BANDWIDTH,
         overlap_input_staging: bool = False,
         staging_chunks: int = 8,
-        cache: Optional[object] = None,
-        resilience: Optional[object] = None,
-        obs: Optional[object] = None,
+        features: Optional[FeatureSpec] = None,
     ):
         """``overlap_input_staging`` enables the paper's §V input-pipelining
         proposal: instead of waiting for the whole CPU-partitioned input to
@@ -155,25 +160,21 @@ class DLRMInferencePipeline:
         immediately when the corresponding sparse input is picked out"),
         the copy is cut into ``staging_chunks`` pieces and the compute
         paths start after the first chunk, overlapping the rest.
-        ``cache`` is a :class:`repro.cache.CacheConfig` consumed by the
-        ``"+cache"`` backends; ``resilience`` is a
-        :class:`repro.faults.ResilienceSpec` consumed by the
-        ``"+resilient"`` backends; ``obs`` is a
-        :class:`repro.obs.TraceSpec` enabling per-batch trace context
-        (None or disabled keeps runs bit-identical to untraced ones)."""
-        backend_spec(backend)  # unknown names raise here
-        if obs is not None:
-            from ..obs import TraceSpec
-
-            if not isinstance(obs, TraceSpec):
-                raise TypeError(f"obs must be a repro.obs.TraceSpec, got {type(obs).__name__}")
+        ``features`` is the :class:`~repro.core.factory.FeatureSpec` the
+        backend's feature wrapper reads its config from (as for
+        :class:`~repro.core.retrieval.DistributedEmbedding`); its ``obs``
+        section enables per-batch trace context (None or disabled keeps
+        runs bit-identical to untraced ones).  The EMB stage is the
+        adapter :func:`~repro.core.factory.build_adapter` builds for the
+        backend, so a malformed name or a bad config raises here."""
         if h2d_bandwidth <= 0:
             raise ValueError("h2d_bandwidth must be positive")
         if staging_chunks <= 0:
             raise ValueError("staging_chunks must be positive")
         self.config = config
         self.backend: BackendName = backend
-        self.cluster = cluster or dgx_v100(n_devices)
+        self.features: FeatureSpec = features or FeatureSpec()
+        self.cluster = cluster or default_cluster(n_devices, backend, self.features)
         if self.cluster.n_devices != n_devices:
             raise ValueError(
                 f"cluster has {self.cluster.n_devices} devices, asked for {n_devices}"
@@ -184,15 +185,10 @@ class DLRMInferencePipeline:
         self.staging_chunks = staging_chunks
         self.collective_spec = collective_spec
         self.pgas_spec = pgas_spec
-        self.cache_config = cache
-        self.resilience_config = resilience
-        self.obs_config = obs
         # Monotone batch counter for trace refs (one per traced batch).
         self._trace_seq = 0
-        self._baseline = BaselineRetrieval(self.cluster, collective_spec)
-        self._pgas = PGASFusedRetrieval(self.cluster, pgas_spec)
-        self._cached: Dict[str, object] = {}
-        self._resilient: Dict[str, object] = {}
+        self._adapters: Dict[str, RetrievalBackend] = {}
+        self.backend_adapter()
 
     @classmethod
     def from_spec(cls, spec, *, cluster: Optional[Cluster] = None, **overrides):
@@ -201,84 +197,18 @@ class DLRMInferencePipeline:
         ``overrides`` pass straight to the keyword constructor (e.g. a
         different ``backend`` for A/B runs on the same spec).
         """
-        kwargs = dict(
-            backend=spec.backend,
-            cluster=cluster,
-            cache=spec.cache,
-            resilience=spec.resilience,
-            obs=spec.obs,
-        )
+        kwargs = dict(backend=spec.backend, cluster=cluster, features=spec.features())
         kwargs.update(overrides)
         return cls(spec.pipeline_config(), spec.n_devices, **kwargs)
 
-    # -- cached EMB engines -------------------------------------------------------
-
-    def set_cache_config(self, cache: Optional[object]) -> None:
-        """Swap the cache config; existing cache engines are released."""
-        for engine in self._cached.values():
-            engine.release()
-        self._cached.clear()
-        self.cache_config = cache
-
-    def _cached_retrieval(self, backend: BackendName):
-        """The persistent cached EMB engine for a ``"+cache"`` backend."""
-        engine = self._cached.get(backend)
-        if engine is None:
-            from ..cache import CacheConfig, CachedRetrieval  # lazy: avoid cycle
-
-            if not backend.endswith("+cache"):
-                raise ValueError(f"backend {backend!r} is not a cached backend")
-            base = backend[: -len("+cache")]
-            engine = CachedRetrieval(
-                self.cluster,
-                self.plan,
-                self.cache_config or CacheConfig(),
-                base=base,
-                collective_spec=self.collective_spec,
-                pgas_spec=self.pgas_spec,
-            )
-            self._cached[backend] = engine
-        return engine
-
-    # -- resilient EMB engines ----------------------------------------------------
-
-    def set_resilience(self, resilience: Optional[object]) -> None:
-        """Swap the resilience spec; existing resilient engines are dropped."""
-        for engine in self._resilient.values():
-            engine.release()
-        self._resilient.clear()
-        self.resilience_config = resilience
-
-    def _resilient_retrieval(self, backend: BackendName):
-        """The persistent resilient EMB engine for a ``"+resilient"`` backend."""
-        engine = self._resilient.get(backend)
-        if engine is None:
-            from ..faults import ResilienceSpec, ResilientRetrieval  # lazy: avoid cycle
-
-            if not backend.endswith("+resilient"):
-                raise ValueError(f"backend {backend!r} is not a resilient backend")
-            base = backend[: -len("+resilient")]
-            engine = ResilientRetrieval(
-                self.cluster,
-                self.plan,
-                self.resilience_config or ResilienceSpec(),
-                base=base,
-                collective_spec=self.collective_spec,
-                pgas_spec=self.pgas_spec,
-            )
-            self._resilient[backend] = engine
-        return engine
-
-    def pop_resilient_outcome(self, backend: Optional[BackendName] = None):
-        """The last batch's :class:`~repro.faults.BatchOutcome`, consumed.
-
-        ``None`` when the backend is not resilient or no batch ran since
-        the previous pop."""
-        be = backend or self.backend
-        engine = self._resilient.get(be)
-        if engine is None:
-            return None
-        return engine.pop_outcome()
+    def backend_adapter(self, name: Optional[BackendName] = None) -> RetrievalBackend:
+        """The (lazily created, then persistent) EMB adapter for a backend."""
+        be = name or self.backend
+        adapter = self._adapters.get(be)
+        if adapter is None:
+            adapter = build_adapter(self, be)
+            self._adapters[be] = adapter
+        return adapter
 
     # -- cost helpers -----------------------------------------------------------
 
@@ -333,7 +263,7 @@ class DLRMInferencePipeline:
 
     def _next_trace_ref(self) -> Optional[TraceRef]:
         """The next batch's trace ref, or None when tracing is off."""
-        obs = self.obs_config
+        obs = self.features.obs
         if obs is None or not obs.enabled:
             return None
         ref = TraceRef(obs.trace_id, self._trace_seq)
@@ -345,29 +275,47 @@ class DLRMInferencePipeline:
         lengths_by_feature: Optional[Mapping[str, np.ndarray]],
         backend: BackendName,
         batch: Optional[SparseBatch],
+        timing: PipelineTiming,
+        stream_suffix: str = "",
     ):
-        """Resolve one batch's (staging workloads, cached plan or None).
+        """Dispatch one batch's EMB stage: ``(staging workloads, EMB generator)``.
 
-        Cached backends need the actual index values (``batch``); their
-        cache pass runs here — once — and the input staging still accounts
+        The adapter is called here, once, at dispatch — a cached backend
+        runs its cache pass now — while the input staging still accounts
         the full uncached indices (the cache lives on-device, the host
         ships everything).
         """
-        if backend_spec(backend).requires_indices:
-            if batch is None:
-                raise ValueError(
-                    f"backend {backend!r} needs index values; pass batch=<SparseBatch>"
-                )
-            if lengths_by_feature is None:
-                lengths_by_feature = lengths_from_batch(batch)
-            workloads = build_device_workloads(self.plan, lengths_by_feature)
-            cplan = self._cached_retrieval(backend).plan_batch(batch)
-            return workloads, cplan
+        adapter = self.backend_adapter(backend)
+        if adapter.requires_indices and batch is None:
+            raise ValueError(
+                f"backend {backend!r} needs index values; pass batch=<SparseBatch>"
+            )
         if lengths_by_feature is None:
             if batch is None:
                 raise ValueError("need lengths_by_feature or batch")
             lengths_by_feature = lengths_from_batch(batch)
-        return build_device_workloads(self.plan, lengths_by_feature), None
+        workloads = build_device_workloads(self.plan, lengths_by_feature)
+        emb_gen = self._dispatch_emb(
+            backend, workloads, timing, batch=batch, stream_suffix=stream_suffix
+        )
+        return workloads, emb_gen
+
+    def _dispatch_emb(
+        self,
+        backend: BackendName,
+        workloads: Sequence[DeviceWorkload],
+        timing: PipelineTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The backend adapter's EMB generator for one batch, filling
+        ``timing.emb`` (the argument :meth:`_process` takes)."""
+        timing.batches = 1
+        timing.emb.batches = 1
+        return self.backend_adapter(backend).batch_process(
+            self.cluster, workloads, timing.emb, batch=batch, stream_suffix=stream_suffix
+        )
 
     def run_batch(
         self, lengths_by_feature: Optional[Mapping[str, np.ndarray]] = None,
@@ -380,18 +328,16 @@ class DLRMInferencePipeline:
         Cached backends require ``batch`` (the cost model depends on the
         index values); the uncached ones only need the jagged lengths.
         """
-        be = backend or self.backend
-        workloads, cplan = self._plan_emb(lengths_by_feature, be, batch)
-        timing = PipelineTiming(batches=1)
+        timing = PipelineTiming()
+        workloads, emb_gen = self._plan_emb(
+            lengths_by_feature, backend or self.backend, batch, timing
+        )
         ref = self._next_trace_ref()
         # The whole synchronous run is one batch: scoping the trace ref
         # around it attributes every span the engine records to this batch.
         with trace_scope(self.cluster.profiler if ref is not None else None, ref):
             self.cluster.run(
-                lambda cl: self._process(
-                    cl, workloads, timing, be,
-                    cached_plan=cplan, batch=batch, trace_ref=ref,
-                )
+                lambda cl: self._process(cl, workloads, timing, emb_gen, trace_ref=ref)
             )
         return timing
 
@@ -430,13 +376,12 @@ class DLRMInferencePipeline:
         several batches interleave on the engine: the returned generator is
         wrapped so its frames (and the EMB/dense sub-processes it spawns)
         run under the ref, while engine work of *other* batches does not."""
-        be = backend or self.backend
-        workloads, cplan = self._plan_emb(lengths_by_feature, be, batch)
-        timing.batches = 1
+        workloads, emb_gen = self._plan_emb(
+            lengths_by_feature, backend or self.backend, batch, timing, stream_suffix
+        )
         gen = self._process(
-            self.cluster, workloads, timing, be,
-            cached_plan=cplan, batch=batch, stream_suffix=stream_suffix,
-            trace_ref=trace,
+            self.cluster, workloads, timing, emb_gen,
+            stream_suffix=stream_suffix, trace_ref=trace,
         )
         if trace is None:
             return gen
@@ -454,7 +399,7 @@ class DLRMInferencePipeline:
         *less* than the sum of per-batch totals.
         """
         be = backend or self.backend
-        if backend_spec(be).requires_indices:
+        if self.backend_adapter(be).requires_indices:
             raise ValueError(
                 f"backend {be!r} is index-dependent; pipelined prefetch only "
                 "supports lengths-driven backends (use run_batches)"
@@ -484,10 +429,11 @@ class DLRMInferencePipeline:
                     )
                 copy_ops_per_batch.append(ops)
             for i, wls in enumerate(workloads):
-                per_batch = PipelineTiming(batches=1)
+                per_batch = PipelineTiming()
+                emb_gen = self._dispatch_emb(be, wls, per_batch)
                 yield engine.process(
                     self._process(
-                        cluster, wls, per_batch, be,
+                        cluster, wls, per_batch, emb_gen,
                         copy_ops=copy_ops_per_batch[i],
                     ),
                     name=f"pipelined_batch{i}",
@@ -508,13 +454,13 @@ class DLRMInferencePipeline:
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PipelineTiming,
-        backend: BackendName,
+        emb_gen: ProcessGenerator,
         copy_ops: Optional[list] = None,
-        cached_plan=None,
-        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
         trace_ref: Optional[TraceRef] = None,
     ) -> ProcessGenerator:
+        """One batch's stages around its dispatched EMB generator
+        (``emb_gen`` fills ``timing.emb``)."""
         engine = cluster.engine
         prof = cluster.profiler
         t0 = engine.now
@@ -560,22 +506,7 @@ class DLRMInferencePipeline:
             return engine.now
 
         emb_timing = timing.emb
-        emb_timing.batches = 1
         dense_gen = dense_path()
-        if cached_plan is not None:
-            emb_gen = self._cached_retrieval(backend).batch_process(
-                cluster, cached_plan, emb_timing, stream_suffix=stream_suffix
-            )
-        elif backend.endswith("+resilient"):
-            emb_gen = self._resilient_retrieval(backend).batch_process(
-                cluster, workloads, emb_timing, batch=batch,
-                stream_suffix=stream_suffix,
-            )
-        else:
-            retrieval = self._baseline if backend == "baseline" else self._pgas
-            emb_gen = retrieval.batch_process(
-                cluster, workloads, emb_timing, stream_suffix=stream_suffix
-            )
         if trace_ref is not None:
             # The EMB and dense paths run as sibling engine processes, so
             # the context must ride into their frames explicitly — this is

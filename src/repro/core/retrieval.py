@@ -27,7 +27,7 @@ Backend-name contract
 A backend name is ``<base>`` or ``<base>+<feature>`` where ``<base>`` is a
 communication strategy (``"pgas"`` — fused one-sided writes — or
 ``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a wrapper
-layered on top of it.  Consumers dispatch on the suffix:
+layered on top of it:
 
 * ``"+cache"`` marks a backend whose EMB pass consults the hot-row cache;
   it is configured by a :class:`repro.cache.CacheConfig` and *requires
@@ -52,11 +52,13 @@ layered on top of it.  Consumers dispatch on the suffix:
   functional outputs stay bit-identical to the flat backend).
 * A bare base name is the plain timed retrieval.
 
-Code that needs the base strategy (e.g. to pick the functional forward)
-takes ``name.split("+", 1)[0]``; code that needs a capability checks the
-suffix — or, better, the :class:`BackendInfo` flags that
-:func:`available_backends` returns.  Registering a name that is already
-taken raises (pass ``overwrite=True`` to replace deliberately).
+Consumers do not dispatch on the suffix: every entry point that runs an
+EMB stage asks the factory for the name's adapter and drives it through
+the one :meth:`RetrievalBackend.batch_process` method.  Code that needs
+the parts of a name (the base strategy, or whether a feature is present)
+takes them from :func:`~repro.core.factory.parse_backend_name`.
+Registering a name that is already taken raises (pass ``overwrite=True``
+to replace deliberately).
 
 Stacking wrappers (two or more ``+<feature>`` suffixes, e.g.
 ``"pgas+compress+resilient"``) has no defined semantics unless someone
@@ -103,10 +105,11 @@ from ..comm.pgas import PGASSpec
 from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
 from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTableConfig
-from ..simgpu.cluster import Cluster, dgx_v100
+from ..simgpu.cluster import Cluster
+from ..simgpu.engine import ProcessGenerator
 from ..simgpu.memory import Buffer
 from .baseline import BaselineRetrieval, PhaseTiming
-from .factory import FeatureSpec
+from .factory import FeatureSpec, default_cluster
 from .functional import (
     ShardedEmbeddingTables,
     baseline_functional_forward,
@@ -136,14 +139,32 @@ BackendName = str
 class RetrievalBackend:
     """Adapter contract one registered backend implements.
 
-    An adapter is bound to a single :class:`DistributedEmbedding` and lives
-    as long as it does, so backends may keep cross-batch state (the hot-row
-    cache relies on this).  ``requires_indices`` marks backends whose cost
-    model depends on the actual index values, not just the jagged lengths —
-    those cannot serve :meth:`DistributedEmbedding.forward_timed`.
+    An adapter is bound to a single EMB host (a :class:`DistributedEmbedding`
+    or an inference pipeline) and lives as long as it does, so backends may
+    keep cross-batch state (the hot-row cache relies on this).
+    ``requires_indices`` marks backends whose cost model depends on the
+    actual index values, not just the jagged lengths — those cannot serve
+    :meth:`DistributedEmbedding.forward_timed`.
     """
 
     requires_indices: bool = False
+    cluster: Cluster
+
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """Process generator for one batch — composable into larger host
+        programs (the inference pipeline overlaps it with the dense MLP).
+        ``timing`` is filled at completion; ``batch`` carries the index
+        values for backends that need them; ``stream_suffix`` selects a
+        per-batch stream set so concurrent batches do not serialise."""
+        raise NotImplementedError
 
     def run_timed(
         self,
@@ -151,7 +172,11 @@ class RetrievalBackend:
         batch: Optional[SparseBatch] = None,
     ) -> PhaseTiming:
         """Simulate one batch on the cluster; returns its phase timing."""
-        raise NotImplementedError
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(
+            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
+        )
+        return timing
 
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
         """Numpy forward: per-device ``(B_g, F, d)`` output tensors."""
@@ -208,36 +233,6 @@ class BackendInfo(str):
     def base(self) -> str:
         """The communication strategy under any feature suffixes."""
         return self.split("+", 1)[0]
-
-    @property
-    def cached(self) -> bool:
-        """True for ``"+cache"`` backends (hot-row cache in the EMB path)."""
-        return "+cache" in self
-
-    @property
-    def resilient(self) -> bool:
-        """True for ``"+resilient"`` backends (fault-tolerant wrapper)."""
-        return "+resilient" in self
-
-    @property
-    def compressed(self) -> bool:
-        """True for ``"+compress"`` backends (quantized wire payloads)."""
-        return "+compress" in self
-
-    @property
-    def replicated(self) -> bool:
-        """True for ``"+replicated"`` backends (shard replicas + failover)."""
-        return "+replicated" in self
-
-    @property
-    def resharded(self) -> bool:
-        """True for ``"+reshard"`` backends (skew-aware online migration)."""
-        return "+reshard" in self
-
-    @property
-    def hierarchical(self) -> bool:
-        """True for ``"+hier"`` backends (node-leader staged routing)."""
-        return "+hier" in self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BackendInfo {str(self)!r}: {self.description}>"
@@ -320,7 +315,8 @@ def available_backends() -> List[BackendInfo]:
 
     Each entry is a :class:`BackendInfo` — usable anywhere a plain name
     string is (the historical return type), but carrying the description
-    and the ``cached`` / ``resilient`` / ``functional`` capability flags.
+    and the ``requires_indices`` / ``functional`` / ``traceable``
+    capability flags.
     """
     return [BackendInfo(_BACKENDS[name]) for name in sorted(_BACKENDS)]
 
@@ -347,7 +343,22 @@ class _PGASBackend(RetrievalBackend):
 
     def __init__(self, emb: "DistributedEmbedding"):
         self._emb = emb
+        self.cluster = emb.cluster
         self._engine = PGASFusedRetrieval(emb.cluster, emb.pgas_spec)
+
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The fused engine's own generator (no wrapping frame)."""
+        return self._engine.batch_process(
+            cluster, workloads, timing, stream_suffix=stream_suffix
+        )
 
     def run_timed(
         self,
@@ -368,7 +379,22 @@ class _BaselineBackend(RetrievalBackend):
 
     def __init__(self, emb: "DistributedEmbedding"):
         self._emb = emb
+        self.cluster = emb.cluster
         self._engine = BaselineRetrieval(emb.cluster, emb.collective_spec)
+
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The collective engine's own generator (no wrapping frame)."""
+        return self._engine.batch_process(
+            cluster, workloads, timing, stream_suffix=stream_suffix
+        )
 
     def run_timed(
         self,
@@ -432,36 +458,12 @@ class DistributedEmbedding:
         within nodes, NIC across) is built automatically."""
         backend_spec(backend)  # unknown names raise here
         self.features: FeatureSpec = features or FeatureSpec()
-        if self.features.obs is not None:
-            from ..obs import TraceSpec
-
-            if not isinstance(self.features.obs, TraceSpec):
-                raise TypeError(
-                    f"obs must be a repro.obs.TraceSpec, "
-                    f"got {type(self.features.obs).__name__}"
-                )
         if isinstance(tables, WorkloadConfig):
             table_configs = tables.table_configs()
         else:
             table_configs = list(tables)
         self.backend: BackendName = backend
-        if cluster is None and "+hier" in backend and self.features.hier is not None:
-            from ..comm.hier import HierSpec
-
-            hier = self.features.hier
-            if not isinstance(hier, HierSpec):
-                raise TypeError(
-                    f"hier must be a repro.comm.hier.HierSpec, "
-                    f"got {type(hier).__name__}"
-                )
-            hier.validate_for(n_devices)
-            if hier.devices_per_node > 1:
-                from ..simgpu.cluster import multinode
-
-                cluster = multinode(
-                    n_devices // hier.devices_per_node, hier.devices_per_node
-                )
-        self.cluster = cluster or dgx_v100(n_devices)
+        self.cluster = cluster or default_cluster(n_devices, backend, self.features)
         if self.cluster.n_devices != n_devices:
             raise ValueError(
                 f"cluster has {self.cluster.n_devices} devices, asked for {n_devices}"
@@ -474,10 +476,13 @@ class DistributedEmbedding:
         self._trace_seq = 0
 
         # Register weight storage with the per-device memory accountants.
-        self._weight_buffers: Dict[str, Buffer] = {}
+        # The reshard executor mutates this map at migration cutover (frees
+        # the old owner's buffer, installs the destination's), so it always
+        # reflects where each table's weights are accounted *right now*.
+        self.weight_buffers: Dict[str, Buffer] = {}
         for dev in self.cluster.devices:
             for cfg in self.plan.tables_on(dev.id):
-                self._weight_buffers[cfg.name] = dev.memory.alloc(
+                self.weight_buffers[cfg.name] = dev.memory.alloc(
                     (cfg.num_rows, cfg.dim),
                     cfg.dtype,
                     materialize=False,
@@ -501,18 +506,7 @@ class DistributedEmbedding:
         :func:`repro.core.factory.build_backend`, which also pre-builds
         the adapter so composition errors surface immediately.
         """
-        kwargs = dict(
-            backend=spec.backend,
-            features=FeatureSpec(
-                cache=spec.cache,
-                resilience=spec.resilience,
-                compression=spec.compression,
-                replication=spec.replication,
-                reshard=spec.reshard,
-                hier=spec.hier,
-                obs=spec.obs,
-            ),
-        )
+        kwargs = dict(backend=spec.backend, features=spec.features())
         kwargs.update(overrides)
         return cls(spec.workload, spec.n_devices, **kwargs)
 
@@ -522,50 +516,6 @@ class DistributedEmbedding:
     def n_devices(self) -> int:
         """Device count."""
         return self.cluster.n_devices
-
-    @property
-    def cache_config(self) -> Optional[object]:
-        """The ``features.cache`` section (legacy accessor, read-only)."""
-        return self.features.cache
-
-    @property
-    def resilience_config(self) -> Optional[object]:
-        """The ``features.resilience`` section (legacy accessor, read-only)."""
-        return self.features.resilience
-
-    @property
-    def compression_config(self) -> Optional[object]:
-        """The ``features.compression`` section (legacy accessor, read-only)."""
-        return self.features.compression
-
-    @property
-    def replication_config(self) -> Optional[object]:
-        """The ``features.replication`` section (legacy accessor, read-only)."""
-        return self.features.replication
-
-    @property
-    def reshard_config(self) -> Optional[object]:
-        """The ``features.reshard`` section."""
-        return self.features.reshard
-
-    @property
-    def hier_config(self) -> Optional[object]:
-        """The ``features.hier`` section."""
-        return self.features.hier
-
-    @property
-    def obs_config(self) -> Optional[object]:
-        """The ``features.obs`` section (legacy accessor, read-only)."""
-        return self.features.obs
-
-    def weight_buffer_map(self) -> Dict[str, Buffer]:
-        """Live table-name → weight :class:`~repro.simgpu.memory.Buffer` map.
-
-        The reshard executor mutates this map at migration cutover (frees
-        the old owner's buffer, installs the destination's), so it always
-        reflects where each table's weights are accounted *right now*.
-        """
-        return self._weight_buffers
 
     @property
     def materialized(self) -> bool:
@@ -603,7 +553,7 @@ class DistributedEmbedding:
         every span the engine records — phase spans, kernel waves, link
         transfers — to that batch's :class:`~repro.simgpu.profiler.TraceRef`.
         """
-        obs = self.obs_config
+        obs = self.features.obs
         if obs is None or not obs.enabled:
             return contextlib.nullcontext()
         from ..obs import trace_scope

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
+from .factory import FeatureSpec
 from .pipeline import PipelineConfig
 from .retrieval import BackendName, backend_spec
 from .serving import SchedulerSpec, ServingSpec
@@ -158,6 +159,13 @@ class RunSpec:
 
     # -- derived section views ---------------------------------------------------
 
+    def features(self) -> FeatureSpec:
+        """Every per-feature section as the :class:`FeatureSpec` that the
+        EMB entry points take (the field names match one to one)."""
+        return FeatureSpec(
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(FeatureSpec)}
+        )
+
     def pipeline_config(self) -> PipelineConfig:
         """The model-shape section as a :class:`PipelineConfig`."""
         return PipelineConfig(
@@ -243,12 +251,6 @@ class RunSpec:
         serving = None
         if serving_payload is not None:
             payload = dict(serving_payload)
-            payload["cache"] = _build_optional(
-                CacheConfig, payload.get("cache"), "serving.cache"
-            )
-            payload["resilience"] = _build_optional(
-                ResilienceSpec, payload.get("resilience"), "serving.resilience"
-            )
             payload["scheduler"] = _build_optional(
                 SchedulerSpec, payload.get("scheduler"), "serving.scheduler"
             )

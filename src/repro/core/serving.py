@@ -68,11 +68,10 @@ from ..telemetry.report import (
 )
 from ..telemetry.timeline import sample_edges
 from .pipeline import DLRMInferencePipeline, PipelineTiming
-from .retrieval import BackendName, backend_spec
+from .factory import parse_backend_name
+from .retrieval import BackendName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
-    from ..cache import CacheConfig
-    from ..faults import ResilienceSpec
     from .runspec import RunSpec
 
 __all__ = ["SchedulerSpec", "ServingSpec", "ServingResult", "InferenceServer"]
@@ -113,12 +112,11 @@ class SchedulerSpec:
 class ServingSpec:
     """Load, batching, and SLO policy.
 
-    ``cache`` (a :class:`repro.cache.CacheConfig`) equips the pipeline's
-    ``"+cache"`` backends; ``resilience`` (a
-    :class:`repro.faults.ResilienceSpec`) equips the ``"+resilient"``
-    ones.  Each is ignored by the other backends.  ``deadline_ns`` is the
-    per-request SLO used for the deadline-hit rate; ``queue_limit`` and
-    ``hedge_after_ns`` enable load shedding and hedged re-execution.
+    ``deadline_ns`` is the per-request SLO used for the deadline-hit rate;
+    ``queue_limit`` and ``hedge_after_ns`` enable load shedding and hedged
+    re-execution.  Feature configs (hot-row cache, fault wrapper, ...)
+    are not serving policy: they live in the pipeline's
+    :class:`~repro.core.factory.FeatureSpec`.
     ``scheduler`` configures continuous batching (``None`` = the default
     sequential scheduler: hybrid formation, one batch in flight).
     """
@@ -127,11 +125,9 @@ class ServingSpec:
     max_batch: int = 256  #: batcher's size cap
     batch_window_ns: float = 2 * ms  #: max wait after the first queued request
     seed: int = 0
-    cache: Optional["CacheConfig"] = None
     deadline_ns: Optional[float] = None  #: per-request SLO deadline
     queue_limit: Optional[int] = None  #: shed arrivals beyond this queue depth
     hedge_after_ns: Optional[float] = None  #: re-execute batches slower than this
-    resilience: Optional["ResilienceSpec"] = None
     scheduler: Optional[SchedulerSpec] = None  #: continuous-batching policy
 
     def __post_init__(self) -> None:
@@ -152,22 +148,6 @@ class ServingSpec:
                 f"ServingSpec.scheduler must be a SchedulerSpec, "
                 f"got {type(self.scheduler).__name__}"
             )
-        if self.cache is not None:
-            from ..cache import CacheConfig  # lazy: avoid import cycle
-
-            if not isinstance(self.cache, CacheConfig):
-                raise TypeError(
-                    f"ServingSpec.cache must be a repro.cache.CacheConfig, "
-                    f"got {type(self.cache).__name__}"
-                )
-        if self.resilience is not None:
-            from ..faults import ResilienceSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.resilience, ResilienceSpec):
-                raise TypeError(
-                    f"ServingSpec.resilience must be a repro.faults.ResilienceSpec, "
-                    f"got {type(self.resilience).__name__}"
-                )
 
     @property
     def mean_interarrival_ns(self) -> float:
@@ -415,10 +395,6 @@ class InferenceServer:
     def __init__(self, pipeline: DLRMInferencePipeline, spec: ServingSpec):
         self.pipeline = pipeline
         self.spec = spec
-        if spec.cache is not None:
-            pipeline.set_cache_config(spec.cache)
-        if spec.resilience is not None:
-            pipeline.set_resilience(spec.resilience)
         self._sharded = None  # lazily materialised weights (functional path)
 
     @classmethod
@@ -486,9 +462,10 @@ class InferenceServer:
         workload = pipeline.config.workload
         gen = SyntheticDataGenerator(workload)
         be = backend or pipeline.backend
-        needs_indices = backend_spec(be).requires_indices
-        resilient = be.endswith("+resilient")
-        obs = getattr(pipeline, "obs_config", None)
+        adapter = pipeline.backend_adapter(be)
+        base, features = parse_backend_name(be)
+        resilient = "resilient" in features
+        obs = pipeline.features.obs
         tracing = obs is not None and obs.enabled
 
         # Pre-draw every request's features once: request r's inputs (and
@@ -496,9 +473,9 @@ class InferenceServer:
         # cuts batches, which is what makes continuous batching
         # bit-identical to sequential serving.
         needs_sparse = (
-            needs_indices
+            adapter.requires_indices
             or materialize
-            or (resilient and pipeline.resilience_config is not None)
+            or (resilient and pipeline.features.resilience is not None)
         )
         if needs_sparse:
             pool = gen.sparse_batch(batch_size=n_requests)
@@ -512,7 +489,6 @@ class InferenceServer:
             from .functional import baseline_functional_forward, pgas_functional_forward
 
             sharded = self._materialized_tables()
-            base = be.split("+", 1)[0]
             if base == "baseline":
                 def functional(b):
                     outputs, _blocks = baseline_functional_forward(sharded, b)
@@ -542,8 +518,7 @@ class InferenceServer:
         wake = engine.notifier("scheduler")
         t_start = engine.now
         if resilient:
-            # Force-build the engine now so the outcome ledger exists.
-            outcome_start = len(pipeline._resilient_retrieval(be).outcomes)
+            outcome_start = len(adapter.outcomes)
 
         def arrivals() -> ProcessGenerator:
             nonlocal arrived, n_shed
@@ -618,7 +593,7 @@ class InferenceServer:
                         f"serve.batch{batch_seq}", "serve", -1, t_dispatch, done
                     )
             if resilient:
-                outcome = pipeline.pop_resilient_outcome(be)
+                outcome = adapter.pop_outcome()
                 frac = outcome.degraded_fraction if outcome is not None else 0.0
                 degraded_t[rows_np] = frac
             if functional is not None:
@@ -735,7 +710,7 @@ class InferenceServer:
         )
         if resilient:
             # Ledger totals include hedge losers that finished late.
-            outcomes = pipeline._resilient_retrieval(be).outcomes[outcome_start:]
+            outcomes = adapter.outcomes[outcome_start:]
             result.emb_retries = sum(o.retries for o in outcomes)
             result.emb_reroutes = sum(o.rerouted_pairs for o in outcomes)
             result.emb_rerouted_bytes = sum(o.rerouted_bytes for o in outcomes)

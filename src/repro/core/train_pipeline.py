@@ -39,6 +39,18 @@ from .workload import build_device_workloads
 
 __all__ = ["TrainStepTiming", "DLRMTrainingPipeline"]
 
+#: Backends with a backward model.  No feature wrapper has one, so a
+#: feature name would silently time another program's step.
+TRAINABLE_BACKENDS = ("pgas", "baseline")
+
+
+def _check_trainable(backend: BackendName) -> None:
+    if backend not in TRAINABLE_BACKENDS:
+        raise ValueError(
+            f"backend {backend!r} has no training backward model; "
+            f"DLRMTrainingPipeline runs {' or '.join(TRAINABLE_BACKENDS)}"
+        )
+
 
 @dataclass
 class TrainStepTiming:
@@ -71,6 +83,7 @@ class DLRMTrainingPipeline:
         cluster: Optional[Cluster] = None,
         collective_spec: Optional[CollectiveSpec] = None,
     ):
+        _check_trainable(backend)
         self.config = config
         self.backend: BackendName = backend
         self.forward_pipeline = DLRMInferencePipeline(
@@ -118,6 +131,7 @@ class DLRMTrainingPipeline:
     ) -> TrainStepTiming:
         """Simulate one forward + backward training step."""
         be = backend or self.backend
+        _check_trainable(be)
         timing = TrainStepTiming(steps=1)
         workloads = build_device_workloads(self.plan, lengths_by_feature)
 
@@ -125,9 +139,10 @@ class DLRMTrainingPipeline:
             engine = cluster.engine
             t0 = engine.now
             # ---- forward -------------------------------------------------------
-            timing.forward.batches = 1
+            fwd = self.forward_pipeline
+            emb_gen = fwd._dispatch_emb(be, workloads, timing.forward)
             yield engine.process(
-                self.forward_pipeline._process(cluster, workloads, timing.forward, be),
+                fwd._process(cluster, workloads, timing.forward, emb_gen),
                 name="train_forward",
             )
             t1 = engine.now

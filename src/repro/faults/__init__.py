@@ -55,13 +55,13 @@ __all__ = [
 
 
 def resilient_retrieval_for(emb, base: str) -> ResilientRetrieval:
-    """Build a :class:`ResilientRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ResilientRetrieval` bound to an EMB host
+    (see :func:`~repro.core.factory.build_adapter`; the registry
     factories' shared implementation)."""
-    spec = getattr(emb, "resilience_config", None)
+    spec = emb.features.resilience
     if spec is not None and not isinstance(spec, ResilienceSpec):
         raise TypeError(
-            f"DistributedEmbedding resilience must be a ResilienceSpec, "
+            f"features.resilience must be a ResilienceSpec, "
             f"got {type(spec).__name__}"
         )
     return ResilientRetrieval(

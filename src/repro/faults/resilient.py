@@ -420,6 +420,7 @@ class ResilientRetrieval(RetrievalBackend):
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
@@ -502,18 +503,6 @@ class ResilientRetrieval(RetrievalBackend):
             prof.add_count(
                 CACHE_SERVED_COUNTER, t, float(outcome.cache_served_bags), unit="bags"
             )
-
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch through the state machine on the cluster."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(
-            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
-        )
-        return timing
 
     def pop_outcome(self) -> Optional[BatchOutcome]:
         """The most recent batch's outcome, consumed (None if already read)."""

@@ -30,6 +30,7 @@ from ..core.retrieval import RetrievalBackend
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import ProcessGenerator
 
 __all__ = ["HierRetrieval", "hier_retrieval_for"]
 
@@ -72,6 +73,20 @@ class HierRetrieval(RetrievalBackend):
         """Whether routing actually changes this cluster's traffic."""
         return self.spec.active(self.cluster.n_devices)
 
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The routed engine's own generator (no wrapping frame)."""
+        return self._engine.batch_process(
+            cluster, workloads, timing, stream_suffix=stream_suffix
+        )
+
     def run_timed(
         self,
         workloads: Sequence[DeviceWorkload],
@@ -90,8 +105,8 @@ class HierRetrieval(RetrievalBackend):
 
 
 def hier_retrieval_for(emb, base: str) -> HierRetrieval:
-    """Build a :class:`HierRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`HierRetrieval` bound to an EMB host
+    (see :func:`~repro.core.factory.build_adapter`; the registry
     factories' shared implementation).
 
     Without a configured :class:`~repro.comm.hier.HierSpec` the wrapper
@@ -99,10 +114,10 @@ def hier_retrieval_for(emb, base: str) -> HierRetrieval:
     device count; set ``features=FeatureSpec(hier=HierSpec(...))`` to
     enable staging.
     """
-    spec = emb.hier_config
+    spec = emb.features.hier
     if spec is not None and not isinstance(spec, HierSpec):
         raise TypeError(
-            f"DistributedEmbedding hier must be a HierSpec, "
+            f"features.hier must be a HierSpec, "
             f"got {type(spec).__name__}"
         )
     return HierRetrieval(

@@ -61,13 +61,13 @@ __all__ = [
 
 
 def replicated_retrieval_for(emb, base: str) -> ReplicatedRetrieval:
-    """Build a :class:`ReplicatedRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ReplicatedRetrieval` bound to an EMB host
+    (see :func:`~repro.core.factory.build_adapter`; the registry
     factories' shared implementation)."""
-    spec = emb.replication_config
+    spec = emb.features.replication
     if spec is not None and not isinstance(spec, ReplicationSpec):
         raise TypeError(
-            f"DistributedEmbedding replication must be a ReplicationSpec, "
+            f"features.replication must be a ReplicationSpec, "
             f"got {type(spec).__name__}"
         )
     return ReplicatedRetrieval(

@@ -367,25 +367,17 @@ class ReplicatedRetrieval(RetrievalBackend):
 
     # -- timed path --------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch, failing over around any detected failures."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one batch — composable into larger host
-        programs.  With no detected failures this is the wrapped backend's
+        """Process generator for one batch, failing over around any detected
+        failures.  With no detected failures this is the wrapped backend's
         generator, event for event."""
         if not self._failed:
             yield from self.base.batch_process(

@@ -73,13 +73,13 @@ __all__ = [
 
 
 def reshard_retrieval_for(emb, base: str) -> ReshardRetrieval:
-    """Build a :class:`ReshardRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ReshardRetrieval` bound to an EMB host
+    (see :func:`~repro.core.factory.build_adapter`; the registry
     factories' shared implementation)."""
-    spec = emb.reshard_config
+    spec = emb.features.reshard
     if spec is not None and not isinstance(spec, ReshardSpec):
         raise TypeError(
-            f"DistributedEmbedding reshard must be a ReshardSpec, "
+            f"features.reshard must be a ReshardSpec, "
             f"got {type(spec).__name__}"
         )
     return ReshardRetrieval(
@@ -90,7 +90,7 @@ def reshard_retrieval_for(emb, base: str) -> ReshardRetrieval:
         collective_spec=emb.collective_spec,
         pgas_spec=emb.pgas_spec,
         sharded=emb.sharded,
-        weight_buffers=emb.weight_buffer_map(),
+        weight_buffers=emb.weight_buffers,
     )
 
 

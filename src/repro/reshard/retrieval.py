@@ -174,28 +174,21 @@ class ReshardRetrieval(RetrievalBackend):
 
     # -- timed path --------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch under the current ownership, then observe it."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one batch — composable into larger host
-        programs.  Ownership is snapshotted here, at generator start: a
-        cutover that fires mid-batch (in simulated time) only affects the
-        *next* batch.  While ownership still matches the static plan this
-        is the wrapped backend's generator, event for event."""
+        """Process generator for one batch under the current ownership,
+        which it then observes.  Ownership is snapshotted here, at
+        generator start: a cutover that fires mid-batch (in simulated
+        time) only affects the *next* batch.  While ownership still
+        matches the static plan this is the wrapped backend's generator,
+        event for event."""
         owners = dict(self._owners)
         if owners == self._static_owners:
             yield from self.base.batch_process(

@@ -259,9 +259,9 @@ class TestConstruction:
         assert emb.backend_adapter("pgas+compress").passthrough
 
     def test_backend_info_flags(self):
+        from repro.core.factory import parse_backend_name
         from repro.core.retrieval import available_backends
 
-        by_name = {str(b): b for b in available_backends()}
-        info = by_name["pgas+compress"]
-        assert info.compressed and not info.cached and not info.resilient
-        assert by_name["pgas"].compressed is False
+        features = {str(b): parse_backend_name(b)[1] for b in available_backends()}
+        assert features["pgas+compress"] == ("compress",)
+        assert features["pgas"] == ()

@@ -80,6 +80,6 @@ class TestRunSpecIntegration:
             compression=CompressionSpec(codec="int8"),
         )
         emb = DistributedEmbedding.from_spec(spec)
-        assert emb.compression_config is spec.compression
+        assert emb.features.compression is spec.compression
         adapter = emb.backend_adapter("pgas+compress")
         assert adapter.codec.name == "int8"

@@ -163,6 +163,7 @@ class TestRemovedLegacyKwargs:
         emb = DistributedEmbedding(
             small_cfg(), 2, backend="pgas+reshard", features=spec,
         )
-        assert emb.reshard_config is spec.reshard
-        assert emb.replication_config is spec.replication
-        assert emb.cache_config is None
+        assert emb.features.reshard is spec.reshard
+        assert emb.features.replication is spec.replication
+        assert emb.features.cache is None
+        assert not hasattr(emb, "reshard_config")

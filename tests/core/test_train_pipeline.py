@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro  # noqa: F401  (registers every feature backend)
+from repro.core.factory import parse_backend_name
 from repro.core.pipeline import PipelineConfig
+from repro.core.retrieval import available_backends
 from repro.core.train_pipeline import DLRMTrainingPipeline, TrainStepTiming
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 
@@ -78,3 +81,27 @@ class TestTiming:
         b = TrainStepTiming(dense_backward_ns=7, total_ns=20, steps=1)
         a.add(b)
         assert a.dense_backward_ns == 12 and a.total_ns == 30 and a.steps == 2
+
+
+#: Registered names with a feature wrapper: none has a backward model.
+FEATURE_BACKENDS = [
+    str(b) for b in available_backends() if parse_backend_name(b)[1]
+]
+
+
+class TestBackendNames:
+    @pytest.mark.parametrize("name", FEATURE_BACKENDS)
+    def test_feature_backend_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match="backward model"):
+            DLRMTrainingPipeline(make_config(), 2, backend=name)
+
+    @pytest.mark.parametrize("name", FEATURE_BACKENDS)
+    def test_feature_backend_rejected_per_step(self, name, lengths):
+        pipe = DLRMTrainingPipeline(make_config(), 2)
+        with pytest.raises(ValueError, match="backward model"):
+            pipe.run_step(lengths, backend=name)
+
+    @pytest.mark.parametrize("name", ["", "nope", "pgas+", "pgas+nonsense"])
+    def test_unknown_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            DLRMTrainingPipeline(make_config(), 2, backend=name)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.factory import FeatureSpec
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.serving import InferenceServer, ServingResult, ServingSpec
 from repro.dlrm.data import WorkloadConfig
@@ -30,7 +31,7 @@ def serve_under_faults(severity=0.8, *, n_requests=24, backend="pgas+resilient",
         PipelineConfig(workload=small_cfg()),
         2,
         backend=backend,
-        resilience=ResilienceSpec(deadline_ns=0.25 * ms, seed=0),
+        features=FeatureSpec(resilience=ResilienceSpec(deadline_ns=0.25 * ms, seed=0)),
     )
     plan = FaultPlan.generate(2, 2 * ms, severity=severity, seed=7)
     FaultInjector(pipeline.cluster, plan).install()
@@ -107,23 +108,33 @@ class TestHedging:
 
 
 class TestServingSpecValidation:
+    """Feature configs live in the pipeline's FeatureSpec and are checked
+    when the pipeline builds its EMB adapter."""
+
+    @staticmethod
+    def pipeline(backend, **features):
+        return DLRMInferencePipeline(
+            PipelineConfig(workload=small_cfg()), 2, backend=backend,
+            features=FeatureSpec(**features),
+        )
+
     def test_cache_must_be_cacheconfig(self):
         with pytest.raises(TypeError, match="CacheConfig"):
-            ServingSpec(arrival_qps=1000.0, cache={"capacity": 16})
+            self.pipeline("pgas+cache", cache={"capacity": 16})
 
     def test_resilience_must_be_resiliencespec(self):
         with pytest.raises(TypeError, match="ResilienceSpec"):
-            ServingSpec(arrival_qps=1000.0, resilience="retry harder")
+            self.pipeline("pgas+resilient", resilience="retry harder")
 
     def test_real_configs_accepted(self):
         from repro.cache import CacheConfig
 
-        spec = ServingSpec(
-            arrival_qps=1000.0,
-            cache=CacheConfig(capacity_fraction=0.1),
-            resilience=ResilienceSpec(),
-        )
-        assert spec.cache is not None and spec.resilience is not None
+        cache = CacheConfig(capacity_fraction=0.1)
+        resilience = ResilienceSpec()
+        assert self.pipeline("pgas+cache", cache=cache).backend_adapter().config is cache
+        assert self.pipeline(
+            "pgas+resilient", resilience=resilience
+        ).backend_adapter().spec is resilience
 
     def test_slo_knob_bounds(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.factory import parse_backend_name
 from repro.core.retrieval import (
     DistributedEmbedding,
     available_backends,
@@ -24,10 +25,10 @@ class TestCompositionContract:
             assert str(spec.name) == name
 
     def test_replicated_backends_listed_with_flag(self):
-        infos = {str(i): i for i in available_backends()}
-        assert infos["pgas+replicated"].replicated
-        assert infos["baseline+replicated"].replicated
-        assert not infos["pgas"].replicated
+        features = {str(i): parse_backend_name(i)[1] for i in available_backends()}
+        assert features["pgas+replicated"] == ("replicated",)
+        assert features["baseline+replicated"] == ("replicated",)
+        assert features["pgas"] == ()
 
     @pytest.mark.parametrize("name", [
         "pgas+compress+replicated",
@@ -83,7 +84,7 @@ class TestRunSpecReplication:
             replication=ReplicationSpec(k=2),
         )
         emb = DistributedEmbedding.from_spec(spec)
-        assert emb.replication_config == spec.replication
+        assert emb.features.replication == spec.replication
         adapter = emb.backend_adapter("pgas+replicated")
         assert adapter.spec == spec.replication
 

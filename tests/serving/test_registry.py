@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.factory import parse_backend_name
 from repro.core.retrieval import (
     BackendInfo,
     _BACKENDS,
@@ -50,10 +51,10 @@ class TestBackendInfoFlags:
         assert by_name["pgas"].base == "pgas"
         assert by_name["pgas+cache"].base == "pgas"
         assert by_name["baseline+resilient"].base == "baseline"
-        assert by_name["pgas+cache"].cached
-        assert not by_name["pgas"].cached
-        assert by_name["baseline+resilient"].resilient
-        assert not by_name["baseline+cache"].resilient
+        assert parse_backend_name(by_name["pgas+cache"]) == ("pgas", ("cache",))
+        assert parse_backend_name(by_name["pgas"]) == ("pgas", ())
+        assert parse_backend_name(by_name["baseline+resilient"])[1] == ("resilient",)
+        assert parse_backend_name(by_name["baseline+cache"])[1] == ("cache",)
 
     def test_requires_indices_flags(self):
         by_name = {str(i): i for i in available_backends()}
