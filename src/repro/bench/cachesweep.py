@@ -15,8 +15,8 @@ vs offered load with and without the cache, same arrival stream.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..cache import CacheConfig
 from ..core.baseline import PhaseTiming
@@ -26,11 +26,11 @@ from ..core.retrieval import DistributedEmbedding
 from ..core.serving import InferenceServer, ServingResult, ServingSpec
 from ..core.workload import lengths_from_batch
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
-from .reporting import format_table
+from .spec import Arg, SweepRun, SweepSpec, workload_args, workload_from_args
 
 __all__ = [
     "CacheSweepPoint",
-    "CacheSweepResult",
+    "SPEC",
     "run_cache_sweep",
     "serving_cache_comparison",
 ]
@@ -62,84 +62,44 @@ class CacheSweepPoint:
         return 1.0 - self.cached_comm_bytes / self.uncached_comm_bytes
 
 
-@dataclass
-class CacheSweepResult:
-    """A finished cache sweep."""
-
-    base: str
-    policy: str
-    n_devices: int
-    n_batches: int
-    points: List[CacheSweepPoint] = field(default_factory=list)
-
-    def point(self, zipf_alpha: float, capacity_fraction: float) -> CacheSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.zipf_alpha == zipf_alpha and p.capacity_fraction == capacity_fraction:
-                return p
-        raise KeyError(f"no point ({zipf_alpha}, {capacity_fraction})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = [
-            [
-                f"{p.zipf_alpha:g}",
-                f"{p.capacity_fraction:.0%}",
-                f"{p.hit_rate:.1%}",
-                f"{p.uncached_comm_bytes / 1e6:.3f}",
-                f"{p.cached_comm_bytes / 1e6:.3f}",
-                f"{p.comm_reduction:.1%}",
-                f"{p.uncached.total_ns / 1e6:.3f}",
-                f"{p.cached.total_ns / 1e6:.3f}",
-                f"{p.speedup:.3f}x",
-            ]
-            for p in self.points
-        ]
-        return (
-            f"[cache sweep: {self.base} vs {self.base}+cache ({self.policy}) "
-            f"@ {self.n_devices} GPUs, {self.n_batches} batches]\n"
-            + format_table(
-                [
-                    "alpha",
-                    "capacity",
-                    "hit rate",
-                    "comm (MB)",
-                    "comm+$ (MB)",
-                    "comm cut",
-                    "EMB (ms)",
-                    "EMB+$ (ms)",
-                    "speedup",
-                ],
-                rows,
-            )
-        )
-
-
 def run_cache_sweep(
     base_config: WorkloadConfig,
     alphas: Sequence[float],
     capacity_fractions: Sequence[float],
     *,
-    base: str = "pgas",
-    policy: str = "lru",
-    n_devices: int = 2,
     n_batches: int = 4,
-    warm_batches: int = 1,
-) -> CacheSweepResult:
+    **options: Any,
+) -> SweepRun:
     """Measure cached vs uncached over an (alpha × capacity) grid.
 
     Each point replays the *same* batch stream through both variants on
-    fresh clusters.  ``warm_batches`` extra leading batches prime the
-    cache (and, for ``static-topk``, feed the profiled frequency pass)
-    without being counted in either variant's timing.
+    fresh clusters.  ``options`` are ``base`` (``"pgas"``), ``policy``
+    (``"lru"``), ``n_devices`` (2) and ``warm_batches`` (1): extra leading
+    batches that prime the cache (and, for ``static-topk``, feed the
+    profiled frequency pass) without being counted in either variant's
+    timing.
     """
     if not alphas or not capacity_fractions:
         raise ValueError("sweep needs at least one alpha and one capacity")
     if n_batches <= 0:
         raise ValueError("n_batches must be positive")
-    result = CacheSweepResult(
-        base=base, policy=policy, n_devices=n_devices, n_batches=n_batches
-    )
+    return SweepRun(SPEC, *_grid(
+        base_config, alphas, capacity_fractions, n_batches=n_batches, **options
+    ))
+
+
+def _grid(
+    base_config: WorkloadConfig,
+    alphas: Sequence[float],
+    capacity_fractions: Sequence[float],
+    *,
+    n_batches: int,
+    base: str = "pgas",
+    policy: str = "lru",
+    n_devices: int = 2,
+    warm_batches: int = 1,
+):
+    points = []
     for alpha in alphas:
         cfg = dataclasses.replace(
             base_config, index_distribution="zipf", zipf_alpha=float(alpha)
@@ -182,7 +142,7 @@ def run_cache_sweep(
                 comm += cplan.remote_bytes
                 hits += cplan.hits
                 misses += cplan.misses
-            result.points.append(
+            points.append(
                 CacheSweepPoint(
                     zipf_alpha=float(alpha),
                     capacity_fraction=float(frac),
@@ -194,7 +154,54 @@ def run_cache_sweep(
                     hit_rate=hits / (hits + misses) if hits + misses else 0.0,
                 )
             )
-    return result
+    envelope = {"base": base, "policy": policy, "n_devices": n_devices,
+                "n_batches": n_batches}
+    return envelope, points
+
+
+def _run(args: Any):
+    return _grid(
+        workload_from_args(args),
+        args.alphas,
+        args.capacities,
+        base=args.base,
+        policy=args.policy,
+        n_devices=args.gpus,
+        n_batches=args.batches,
+    )
+
+
+SPEC = SweepSpec(
+    name="cachesweep",
+    help="hot-row cache sweep (skew x capacity)",
+    args=workload_args(tables=8, rows=4096, dim=32, batch=1024, pooling=4) + (
+        Arg("--alphas", type=float, nargs="+", default=[1.05, 1.1, 1.2],
+            help="zipf skew values"),
+        Arg("--capacities", type=float, nargs="+", default=[0.05, 0.1, 0.2],
+            help="cache capacity as a fraction of remote rows"),
+        Arg("--policy", choices=("lru", "lfu", "static-topk"), default="lru"),
+        Arg("--batches", type=int, default=4, help="measured batches per point", min=1),
+        Arg("--base", choices=("pgas", "baseline"), default="pgas",
+            help="underlying backend to wrap"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[cache sweep: {run.base} vs {run.base}+cache ({run.policy}) "
+        f"@ {run.n_devices} GPUs, {run.n_batches} batches]"
+    ),
+    columns=(
+        ("alpha", lambda p: f"{p.zipf_alpha:g}"),
+        ("capacity", lambda p: f"{p.capacity_fraction:.0%}"),
+        ("hit rate", lambda p: f"{p.hit_rate:.1%}"),
+        ("comm (MB)", lambda p: f"{p.uncached_comm_bytes / 1e6:.3f}"),
+        ("comm+$ (MB)", lambda p: f"{p.cached_comm_bytes / 1e6:.3f}"),
+        ("comm cut", lambda p: f"{p.comm_reduction:.1%}"),
+        ("EMB (ms)", lambda p: f"{p.uncached.total_ns / 1e6:.3f}"),
+        ("EMB+$ (ms)", lambda p: f"{p.cached.total_ns / 1e6:.3f}"),
+        ("speedup", lambda p: f"{p.speedup:.3f}x"),
+    ),
+    coords=("zipf_alpha", "capacity_fraction"),
+)
 
 
 def serving_cache_comparison(

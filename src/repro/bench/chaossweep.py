@@ -15,37 +15,34 @@ the *identical* synthetic batch stream, and records:
 * **recovery** — re-replication bytes, detection latency, and the
   down-edge → re-protected latency of the background recovery stream.
 
-``write_json`` emits ``BENCH_availability.json`` for the CI chaos-smoke
-gate; :func:`validate_chaossweep_json` is the self-check — it enforces
-the invariants the artifact exists to witness: zero failures ⇒ perfect
-availability and no failover/recovery traffic, and for every (backend,
-failure count) pair, ``k = 2`` availability at least matching ``k = 1``
-under the same fault plan.
+The artifact is ``BENCH_availability.json``; :data:`SPEC`'s invariants
+are the self-check: lookup conservation (served + unavailable = total),
+perfect availability and zero failover/recovery traffic with no
+failures, detection plus finite positive re-protect latency (and real
+recovery bytes) whenever a replica existed to recover to, ``k = 2``
+availability ≥ ``k = 1`` for every (backend, failure count) pair where
+both ran, and ``k = 2`` fully masking a single failure.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import FeatureSpec
 from ..core.retrieval import DistributedEmbedding
+from ..core.runspec import PRESETS
 from ..dlrm.data import SyntheticDataGenerator
 from ..faults import FaultEvent, FaultInjector, FaultPlan
 from ..replication import ReplicationSpec
 from ..simgpu.units import to_ms, us
-from .reporting import format_table
-from .runner import scaled_config
-from .telemetry import preset_workload
-from .validate import check_artifact, check_point
+from .spec import Arg, Artifact, Invariant, SweepRun, SweepSpec, payload, preset_workload, rule
 
 __all__ = [
     "ChaosSweepPoint",
-    "ChaosSweepResult",
+    "SPEC",
     "run_chaos_sweep",
     "validate_chaossweep_json",
 ]
@@ -81,165 +78,8 @@ class ChaosSweepPoint:
             return 0.0
         return self.served_lookups / (self.total_ns / 1e9)
 
-    def as_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["goodput_lookups_per_s"] = self.goodput_lookups_per_s
-        return payload
 
-
-@dataclass
-class ChaosSweepResult:
-    """A finished chaos sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[ChaosSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, k: int, n_failures: int) -> ChaosSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.backend == backend and p.k == k and p.n_failures == n_failures:
-                return p
-        raise KeyError(f"no point ({backend}, k={k}, failures={n_failures})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.k}",
-                    f"{p.n_failures}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{p.availability:.4f}",
-                    f"{p.goodput_lookups_per_s / 1e6:.2f}",
-                    f"{int(p.failover_lookups)}",
-                    f"{p.recovery_bytes / 1e6:.3f}",
-                    (
-                        f"{p.time_to_reprotect_ns / us:.1f}"
-                        if p.time_to_reprotect_ns > 0
-                        else "-"
-                    ),
-                ]
-            )
-        title = (
-            f"[chaos sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "k",
-                "fails",
-                "total (ms)",
-                "availability",
-                "goodput (M/s)",
-                "failover",
-                "recovery (MB)",
-                "reprotect (us)",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_availability.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-_POINT_KEYS = (
-    "backend", "k", "placement", "n_failures", "n_batches", "total_ns",
-    "lookups_total", "served_lookups", "unavailable_lookups",
-    "failover_lookups", "availability", "failures_detected",
-    "recovery_bytes", "time_to_reprotect_ns", "goodput_lookups_per_s",
-)
-
-
-def validate_chaossweep_json(data: Any) -> None:
-    """Validate a ``BENCH_availability.json`` payload (raises ``ValueError``).
-
-    Beyond shape, this enforces the availability invariants: lookup
-    conservation (served + unavailable = total), perfect availability and
-    zero failover/recovery traffic with no failures, detection plus
-    finite positive re-protect latency (and real recovery bytes) whenever
-    a replica existed to recover to, and — for every (backend, failure
-    count) pair where both ran — ``k = 2`` availability ≥ ``k = 1``.
-    """
-    points = check_artifact(
-        data,
-        kind="availability",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_devices", "n_batches"),
-    )
-    groups: Dict[tuple, Dict[int, Dict[str, Any]]] = {}
-    for i, point in enumerate(points):
-        check_point(point, i, _POINT_KEYS)
-        label = f"point {i} ({point['backend']}, k={point['k']}, " \
-                f"failures={point['n_failures']})"
-        if not (0.0 <= point["availability"] <= 1.0):
-            raise ValueError(f"{label}: availability outside [0, 1]")
-        if not math.isfinite(point["time_to_reprotect_ns"]):
-            raise ValueError(f"{label}: time_to_reprotect_ns must be finite")
-        conserved = point["served_lookups"] + point["unavailable_lookups"]
-        if abs(conserved - point["lookups_total"]) > 0.5:
-            raise ValueError(f"{label}: served + unavailable != total lookups")
-        if point["total_ns"] <= 0 or point["goodput_lookups_per_s"] <= 0:
-            raise ValueError(f"{label}: degenerate timing/goodput")
-        if point["n_failures"] == 0:
-            if point["availability"] != 1.0:
-                raise ValueError(f"{label}: healthy run must have availability 1.0")
-            if point["failover_lookups"] or point["recovery_bytes"]:
-                raise ValueError(f"{label}: healthy run moved failover/recovery traffic")
-        elif point["k"] >= 2:
-            if point["failures_detected"] < 1:
-                raise ValueError(f"{label}: failure was never detected")
-            # Re-replication needs a live non-holder to copy to: with
-            # k - 1 surviving holders, that means G - failures >= k.
-            if data["n_devices"] - point["n_failures"] >= point["k"]:
-                if point["recovery_bytes"] <= 0:
-                    raise ValueError(f"{label}: recovery moved no bytes")
-                if point["time_to_reprotect_ns"] <= 0:
-                    raise ValueError(f"{label}: recovery never completed")
-        groups.setdefault((point["backend"], point["n_failures"]), {})[
-            point["k"]
-        ] = point
-    for (backend, fails), by_k in groups.items():
-        k1 = by_k.get(1)
-        k2 = by_k.get(2)
-        if k1 is None or k2 is None:
-            continue
-        if k2["availability"] < k1["availability"]:
-            raise ValueError(
-                f"({backend}, failures={fails}): k=2 availability "
-                f"{k2['availability']} below k=1 {k1['availability']}"
-            )
-
-
-def run_chaos_sweep(
-    preset: str = "tiny",
-    *,
-    n_devices: int = 4,
-    ks: Sequence[int] = (1, 2),
-    failure_counts: Sequence[int] = (0, 1),
-    bases: Sequence[str] = ("pgas", "baseline"),
-    placement: str = "spread",
-    n_batches: int = 6,
-    recovery_bandwidth_share: float = 0.25,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-) -> ChaosSweepResult:
+def _run(args: Any):
     """Measure every (base backend, k, failure count) grid point.
 
     Every point gets a fresh embedding (its own cluster and heartbeat
@@ -249,29 +89,22 @@ def run_chaos_sweep(
     detection, failover, and background recovery.  The grid coordinates
     are the only thing changing between rows.
     """
-    if not ks or not bases or not failure_counts:
-        raise ValueError("every sweep axis needs at least one value")
-    for base in bases:
+    for base in args.bases:
         if base not in ("pgas", "baseline"):
             raise ValueError(f"unknown base backend {base!r}")
-    if n_batches < 2:
-        raise ValueError("need >= 2 batches (one healthy warm-up, then chaos)")
-    if max(failure_counts) >= n_devices:
+    n_devices = args.n_devices
+    if max(args.failure_counts) >= n_devices:
         raise ValueError("cannot fail every device in the cluster")
-    cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
+    cfg = preset_workload(args.preset, n_devices, seed=args.seed, scale=args.scale)
 
-    sweep = ChaosSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
-    for base in bases:
-        for k in ks:
-            for n_failures in failure_counts:
+    points = []
+    for base in args.bases:
+        for k in args.ks:
+            for n_failures in args.failure_counts:
                 spec = ReplicationSpec(
                     k=k,
-                    placement=placement,
-                    recovery_bandwidth_share=recovery_bandwidth_share,
+                    placement=args.placement,
+                    recovery_bandwidth_share=args.recovery_bandwidth_share,
                     heartbeat_interval_ns=_SWEEP_HEARTBEAT_NS,
                 )
                 emb = DistributedEmbedding(
@@ -290,7 +123,7 @@ def run_chaos_sweep(
                         for d in range(n_failures)
                     ))
                     FaultInjector(emb.cluster, plan).install()
-                for _ in range(n_batches - 1):
+                for _ in range(args.n_batches - 1):
                     total.add(
                         adapter.run_timed(emb.build_workloads(gen.lengths_batch()))
                     )
@@ -298,20 +131,17 @@ def run_chaos_sweep(
                     limit_ns=emb.cluster.engine.now + 1e9
                 )
                 totals = adapter.totals()
-                counters = emb.cluster.profiler.counters
-
-                def counter_total(name: str) -> float:
-                    c = counters.get(name)
-                    return float(c.total) if c is not None else 0.0
-
+                recovery = emb.cluster.profiler.counters.get(
+                    "availability.recovery_bytes"
+                )
                 served = totals["lookups_total"] - totals["unavailable_lookups"]
-                sweep.points.append(
+                points.append(
                     ChaosSweepPoint(
                         backend=base,
                         k=k,
-                        placement=placement,
+                        placement=args.placement,
                         n_failures=n_failures,
-                        n_batches=n_batches,
+                        n_batches=args.n_batches,
                         total_ns=total.total_ns,
                         lookups_total=totals["lookups_total"],
                         served_lookups=served,
@@ -319,8 +149,163 @@ def run_chaos_sweep(
                         failover_lookups=totals["failover_lookups"],
                         availability=totals["availability"],
                         failures_detected=totals["failures_detected"],
-                        recovery_bytes=counter_total("availability.recovery_bytes"),
+                        recovery_bytes=(
+                            float(recovery.total) if recovery is not None else 0.0
+                        ),
                         time_to_reprotect_ns=totals["time_to_reprotect_ns"],
                     )
                 )
-    return sweep
+    envelope = {"preset": args.preset, "n_devices": n_devices,
+                "n_batches": args.n_batches}
+    return envelope, points
+
+
+def _by_failures(points) -> Dict[tuple, Dict[int, Dict[str, Any]]]:
+    groups: Dict[tuple, Dict[int, Dict[str, Any]]] = {}
+    for point in points:
+        groups.setdefault((point["backend"], point["n_failures"]), {})[
+            point["k"]
+        ] = point
+    return groups
+
+
+def _k2_not_below_k1(points, data) -> Optional[str]:
+    for (backend, fails), by_k in _by_failures(points).items():
+        k1 = by_k.get(1)
+        k2 = by_k.get(2)
+        if k1 is not None and k2 is not None and k2["availability"] < k1["availability"]:
+            return (
+                f"({backend}, failures={fails}): k=2 availability "
+                f"{k2['availability']} below k=1 {k1['availability']}"
+            )
+    return None
+
+
+def _single_failure_masked(points, data) -> Optional[str]:
+    for (backend, fails), by_k in _by_failures(points).items():
+        k2 = by_k.get(2)
+        if fails == 1 and k2 is not None and k2["availability"] != 1.0:
+            return (
+                f"({backend}, failures=1): one replica must fully mask a "
+                f"single failure (k=2 availability {k2['availability']})"
+            )
+    return None
+
+
+def _recovery_excused(p, data) -> bool:
+    # Re-replication needs a live non-holder to copy to: with k - 1
+    # surviving holders, that means G - failures >= k.
+    return (
+        p["n_failures"] == 0 or p["k"] < 2
+        or data["n_devices"] - p["n_failures"] < p["k"]
+    )
+
+
+SPEC = SweepSpec(
+    name="chaossweep",
+    help="replication/failover availability sweep + BENCH_availability.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="tiny",
+            help="workload preset (resolved via preset_runspec)"),
+        Arg("--gpus", type=int, default=4, help="simulated GPU count",
+            dest="n_devices", min=1),
+        Arg("--k", type=int, nargs="+", default=[1, 2],
+            help="replication factors to measure", dest="ks", min=1),
+        Arg("--failures", type=int, nargs="+", default=[0, 1],
+            help="permanent device_down counts per point", dest="failure_counts",
+            min=0),
+        Arg("--backends", nargs="+", choices=("pgas", "baseline"),
+            default=["pgas", "baseline"], help="base backends to wrap", dest="bases"),
+        Arg("--placement", choices=("spread", "ring"), default="spread",
+            help="replica placement policy"),
+        Arg("--batches", type=int, default=6,
+            help="batches per point (first is the healthy warm-up)",
+            dest="n_batches", min=2),
+        Arg("--recovery-share", type=float, default=0.25,
+            help="link bandwidth share granted to recovery streams",
+            dest="recovery_bandwidth_share"),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = preset size)"),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[chaos sweep: {run.preset} preset, {run.n_devices} GPUs, "
+        f"{run.n_batches} batches/point]"
+    ),
+    columns=(
+        ("backend", lambda p: p.backend),
+        ("k", lambda p: f"{p.k}"),
+        ("fails", lambda p: f"{p.n_failures}"),
+        ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+        ("availability", lambda p: f"{p.availability:.4f}"),
+        ("goodput (M/s)", lambda p: f"{p.goodput_lookups_per_s / 1e6:.2f}"),
+        ("failover", lambda p: f"{int(p.failover_lookups)}"),
+        ("recovery (MB)", lambda p: f"{p.recovery_bytes / 1e6:.3f}"),
+        ("reprotect (us)", lambda p: (
+            f"{p.time_to_reprotect_ns / us:.1f}" if p.time_to_reprotect_ns > 0 else "-"
+        )),
+    ),
+    coords=("backend", "k", "n_failures"),
+    artifact=Artifact(
+        file="BENCH_availability.json",
+        kind="availability",
+        keys=("preset", "n_devices", "n_batches"),
+        point_keys=(
+            "backend", "k", "placement", "n_failures", "n_batches", "total_ns",
+            "lookups_total", "served_lookups", "unavailable_lookups",
+            "failover_lookups", "availability", "failures_detected",
+            "recovery_bytes", "time_to_reprotect_ns", "goodput_lookups_per_s",
+        ),
+        label="point {i} ({backend}, k={k}, failures={n_failures})",
+    ),
+    point_dict=payload("goodput_lookups_per_s"),
+    invariants=(
+        rule("availability-range", lambda p, d: 0.0 <= p["availability"] <= 1.0,
+             "{label}: availability outside [0, 1]"),
+        rule("reprotect-finite", lambda p, d: math.isfinite(p["time_to_reprotect_ns"]),
+             "{label}: time_to_reprotect_ns must be finite"),
+        rule("lookup-conservation",
+             lambda p, d: abs(p["served_lookups"] + p["unavailable_lookups"]
+                              - p["lookups_total"]) <= 0.5,
+             "{label}: served + unavailable != total lookups"),
+        rule("positive-goodput",
+             lambda p, d: p["total_ns"] > 0 and p["goodput_lookups_per_s"] > 0,
+             "{label}: degenerate timing/goodput"),
+        rule("healthy-availability",
+             lambda p, d: p["n_failures"] != 0 or p["availability"] == 1.0,
+             "{label}: healthy run must have availability 1.0"),
+        rule("healthy-no-recovery",
+             lambda p, d: p["n_failures"] != 0
+             or not (p["failover_lookups"] or p["recovery_bytes"]),
+             "{label}: healthy run moved failover/recovery traffic"),
+        rule("failure-detected",
+             lambda p, d: p["n_failures"] == 0 or p["k"] < 2
+             or p["failures_detected"] >= 1,
+             "{label}: failure was never detected"),
+        rule("recovery-bytes",
+             lambda p, d: _recovery_excused(p, d) or p["recovery_bytes"] > 0,
+             "{label}: recovery moved no bytes"),
+        rule("recovery-completed",
+             lambda p, d: _recovery_excused(p, d) or p["time_to_reprotect_ns"] > 0,
+             "{label}: recovery never completed"),
+        Invariant("k2-not-below-k1", _k2_not_below_k1),
+        Invariant("k2-masks-single-failure", _single_failure_masked),
+    ),
+)
+
+
+def run_chaos_sweep(preset: str = "tiny", **params: Any) -> SweepRun:
+    """Run the chaos sweep from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``n_devices``, ``ks``, ``failure_counts``, ``bases``, ``placement``,
+    ``n_batches``, ``recovery_bandwidth_share``, ``scale``, ``seed``.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_chaossweep_json(data: Any) -> None:
+    """Validate a ``BENCH_availability.json`` payload (raises ``ValueError``)."""
+    SPEC.validate(data)

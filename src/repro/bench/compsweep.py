@@ -14,19 +14,17 @@ stream through the timed path, and records:
   (:func:`~repro.compress.roundtrip_error_report`): ``max_abs_error``,
   ``rmse``, the per-row bound, and whether the measurement respects it.
 
-``write_json`` emits ``BENCH_compression.json`` for the CI
-compress-smoke gate; :func:`validate_compsweep_json` is the self-check —
-it enforces the physical invariants (wire ≤ uncompressed, fp32 exact and
-byte-identical, every point within its error bound, ``int8`` beating
-``fp32`` on wire bytes and on baseline comm time wherever both ran).
+The artifact is ``BENCH_compression.json``; :data:`SPEC`'s invariants
+are the self-check — the physical invariants (wire ≤ uncompressed, fp32
+exact and byte-identical, every point within its error bound, ``int8``
+beating ``fp32`` on wire bytes and on baseline comm time wherever both
+ran).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -34,16 +32,14 @@ from ..compress import CODEC_NAMES, CompressionSpec, make_codec, roundtrip_error
 from ..core.baseline import PhaseTiming
 from ..core.factory import FeatureSpec
 from ..core.retrieval import DistributedEmbedding
+from ..core.runspec import PRESETS
 from ..dlrm.data import SyntheticDataGenerator
 from ..simgpu.units import to_ms, us
-from .reporting import format_table
-from .runner import scaled_config
-from .telemetry import preset_workload
-from .validate import check_artifact, check_point
+from .spec import Arg, Artifact, Invariant, SweepRun, SweepSpec, payload, preset_workload, rule
 
 __all__ = [
     "CompSweepPoint",
-    "CompSweepResult",
+    "SPEC",
     "run_comp_sweep",
     "validate_compsweep_json",
 ]
@@ -77,165 +73,8 @@ class CompSweepPoint:
             return 1.0
         return self.uncompressed_bytes / self.wire_bytes
 
-    def as_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["compression_ratio"] = self.compression_ratio
-        return payload
 
-
-@dataclass
-class CompSweepResult:
-    """A finished compression sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[CompSweepPoint] = field(default_factory=list)
-
-    def point(self, codec: str, backend: str, batch_size: int) -> CompSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.codec == codec and p.backend == backend and p.batch_size == batch_size:
-                return p
-        raise KeyError(f"no point ({codec}, {backend}, B={batch_size})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.codec,
-                    p.backend,
-                    f"{p.batch_size}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{to_ms(p.compute_ns):.3f}",
-                    f"{to_ms(p.comm_ns):.3f}",
-                    f"{to_ms(p.sync_unpack_ns):.3f}",
-                    f"{p.encode_ns / us:.1f}",
-                    f"{p.decode_ns / us:.1f}",
-                    f"{p.wire_bytes / 1e6:.3f}",
-                    f"{p.compression_ratio:.2f}x",
-                    f"{p.max_abs_error:.2e}" if p.codec != "fp32" else "exact",
-                ]
-            )
-        title = (
-            f"[compression sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "codec",
-                "backend",
-                "batch",
-                "total (ms)",
-                "compute",
-                "comm",
-                "sync+unpack",
-                "enc (us)",
-                "dec (us)",
-                "wire (MB)",
-                "ratio",
-                "max err",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_compression.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-_POINT_KEYS = (
-    "codec", "backend", "batch_size", "n_batches", "total_ns", "compute_ns",
-    "comm_ns", "sync_unpack_ns", "encode_ns", "decode_ns", "wire_bytes",
-    "uncompressed_bytes", "compression_ratio", "max_abs_error", "rmse",
-    "error_bound", "within_bound",
-)
-
-
-def validate_compsweep_json(data: Any) -> None:
-    """Validate a ``BENCH_compression.json`` payload (raises ``ValueError``).
-
-    Beyond shape, this enforces the invariants the artifact exists to
-    witness: measured error within each codec's bound, fp32 exact *and*
-    paying zero extra wire bytes, lossy codecs never exceeding the fp32
-    footprint, and — wherever both codecs ran on the same (backend,
-    batch) — ``int8`` on the wire strictly under ``fp32``, with the
-    baseline's modelled comm time shrinking accordingly.
-    """
-    points = check_artifact(
-        data,
-        kind="compression",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_devices", "n_batches"),
-    )
-    groups: Dict[tuple, Dict[str, Dict[str, Any]]] = {}
-    for i, point in enumerate(points):
-        check_point(point, i, _POINT_KEYS)
-        if not point["within_bound"]:
-            raise ValueError(
-                f"point {i} ({point['codec']}, {point['backend']}): "
-                f"measured error {point['max_abs_error']} exceeds the codec bound"
-            )
-        if point["wire_bytes"] > point["uncompressed_bytes"]:
-            raise ValueError(
-                f"point {i}: wire bytes exceed the uncompressed payload"
-            )
-        if point["codec"] == "fp32":
-            if point["wire_bytes"] != point["uncompressed_bytes"]:
-                raise ValueError(f"point {i}: fp32 must be wire-identical")
-            if point["max_abs_error"] != 0.0:
-                raise ValueError(f"point {i}: fp32 must be exact")
-        if point["wire_bytes"] > 0:
-            expect = point["uncompressed_bytes"] / point["wire_bytes"]
-            if abs(point["compression_ratio"] - expect) > 1e-6 * expect:
-                raise ValueError(
-                    f"point {i}: compression_ratio disagrees with its byte counts"
-                )
-        groups.setdefault((point["backend"], point["batch_size"]), {})[
-            point["codec"]
-        ] = point
-    for (backend, batch), by_codec in groups.items():
-        fp32 = by_codec.get("fp32")
-        int8 = by_codec.get("int8")
-        if fp32 is None or int8 is None:
-            continue
-        if not int8["wire_bytes"] < fp32["wire_bytes"]:
-            raise ValueError(
-                f"({backend}, B={batch}): int8 wire bytes must undercut fp32"
-            )
-        if backend == "baseline" and fp32["comm_ns"] > 0:
-            if not int8["comm_ns"] < fp32["comm_ns"]:
-                raise ValueError(
-                    f"({backend}, B={batch}): int8 must shrink the modelled "
-                    f"all-to-all time"
-                )
-
-
-def run_comp_sweep(
-    preset: str = "tiny",
-    *,
-    n_devices: int = 2,
-    codecs: Sequence[str] = CODEC_NAMES,
-    bases: Sequence[str] = ("pgas", "baseline"),
-    batch_sizes: Optional[Sequence[int]] = None,
-    n_batches: int = 2,
-    scale: float = 1.0,
-    error_rows: int = 512,
-    seed: Optional[int] = None,
-) -> CompSweepResult:
+def _run(args: Any):
     """Measure every (codec, base backend, batch size) grid point.
 
     Every point gets a fresh embedding (its own cluster) but an identical
@@ -245,35 +84,30 @@ def run_comp_sweep(
     measured separately on ``error_rows`` synthetic pooled vectors per
     codec (real encode/decode, zero rows for fp32).
     """
-    if not codecs or not bases:
-        raise ValueError("every sweep axis needs at least one value")
-    for base in bases:
+    for base in args.bases:
         if base not in ("pgas", "baseline"):
             raise ValueError(f"unknown base backend {base!r}")
-    base_cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        base_cfg = dataclasses.replace(base_cfg, seed=seed)
-    if scale != 1.0:
-        base_cfg = scaled_config(base_cfg, scale)
-    sizes = list(batch_sizes) if batch_sizes else [base_cfg.batch_size]
+    n_devices = args.n_devices
+    base_cfg = preset_workload(args.preset, n_devices, seed=args.seed, scale=args.scale)
+    sizes = list(args.batch_sizes) if args.batch_sizes else [base_cfg.batch_size]
 
     # Measured round-trip error per codec on synthetic pooled vectors with
     # per-row magnitudes spread over two decades (absmax-scaled codecs see
     # heterogeneous rows, not one flat scale).
     rng = np.random.default_rng(base_cfg.seed)
     rows = (
-        rng.standard_normal((error_rows, base_cfg.dim))
-        * rng.uniform(0.01, 1.0, size=(error_rows, 1))
+        rng.standard_normal((args.error_rows, base_cfg.dim))
+        * rng.uniform(0.01, 1.0, size=(args.error_rows, 1))
     ).astype(np.float32)
     error_reports = {
-        codec: roundtrip_error_report(make_codec(codec), rows) for codec in codecs
+        codec: roundtrip_error_report(make_codec(codec), rows) for codec in args.codecs
     }
 
-    sweep = CompSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
+    points = []
     for bs in sizes:
         cfg = base_cfg.with_batch_size(bs) if bs != base_cfg.batch_size else base_cfg
-        for base in bases:
-            for codec in codecs:
+        for base in args.bases:
+            for codec in args.codecs:
                 emb = DistributedEmbedding(
                     cfg,
                     n_devices,
@@ -285,34 +119,31 @@ def run_comp_sweep(
                 total = PhaseTiming()
                 raw_bytes = 0.0
                 wire_bytes = 0.0
-                for _ in range(n_batches):
+                for _ in range(args.n_batches):
                     workloads = emb.build_workloads(gen.lengths_batch())
                     raw, wire = adapter.wire_bytes_for(workloads)
                     raw_bytes += raw
                     wire_bytes += wire
                     total.add(adapter.run_timed(workloads))
                 counters = emb.cluster.profiler.counters
+
+                def counter_total(name: str) -> float:
+                    c = counters.get(name)
+                    return float(c.total) if c is not None else 0.0
+
                 err = error_reports[codec]
-                sweep.points.append(
+                points.append(
                     CompSweepPoint(
                         codec=codec,
                         backend=base,
                         batch_size=cfg.batch_size,
-                        n_batches=n_batches,
+                        n_batches=args.n_batches,
                         total_ns=total.total_ns,
                         compute_ns=total.compute_ns,
                         comm_ns=total.comm_ns,
                         sync_unpack_ns=total.sync_unpack_ns,
-                        encode_ns=(
-                            float(counters["compress.encode_ns"].total)
-                            if "compress.encode_ns" in counters
-                            else 0.0
-                        ),
-                        decode_ns=(
-                            float(counters["compress.decode_ns"].total)
-                            if "compress.decode_ns" in counters
-                            else 0.0
-                        ),
+                        encode_ns=counter_total("compress.encode_ns"),
+                        decode_ns=counter_total("compress.decode_ns"),
                         wire_bytes=wire_bytes,
                         uncompressed_bytes=raw_bytes,
                         max_abs_error=err["max_abs_error"],
@@ -321,4 +152,126 @@ def run_comp_sweep(
                         within_bound=err["within_bound"],
                     )
                 )
-    return sweep
+    envelope = {"preset": args.preset, "n_devices": n_devices,
+                "n_batches": args.n_batches}
+    return envelope, points
+
+
+def _int8_beats_fp32(points, data) -> Optional[str]:
+    groups: Dict[tuple, Dict[str, Dict[str, Any]]] = {}
+    for point in points:
+        groups.setdefault((point["backend"], point["batch_size"]), {})[
+            point["codec"]
+        ] = point
+    for (backend, batch), by_codec in groups.items():
+        fp32 = by_codec.get("fp32")
+        int8 = by_codec.get("int8")
+        if fp32 is None or int8 is None:
+            continue
+        if not int8["wire_bytes"] < fp32["wire_bytes"]:
+            return f"({backend}, B={batch}): int8 wire bytes must undercut fp32"
+        if backend == "baseline" and fp32["comm_ns"] > 0:
+            if not int8["comm_ns"] < fp32["comm_ns"]:
+                return (
+                    f"({backend}, B={batch}): int8 must shrink the modelled "
+                    f"all-to-all time"
+                )
+    return None
+
+
+def _ratio_matches(p, data) -> bool:
+    if p["wire_bytes"] <= 0:
+        return True
+    expect = p["uncompressed_bytes"] / p["wire_bytes"]
+    return abs(p["compression_ratio"] - expect) <= 1e-6 * expect
+
+
+SPEC = SweepSpec(
+    name="compsweep",
+    help="codec x backend compression sweep + BENCH_compression.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="tiny",
+            help="workload preset (resolved via preset_runspec)"),
+        Arg("--gpus", type=int, default=2, help="simulated GPU count",
+            dest="n_devices", min=1),
+        Arg("--codecs", nargs="+", choices=CODEC_NAMES,
+            default=list(CODEC_NAMES), help="wire codecs to measure"),
+        Arg("--backends", nargs="+", choices=("pgas", "baseline"),
+            default=["pgas", "baseline"], help="base backends to wrap", dest="bases"),
+        Arg("--batches", type=int, default=2, help="batches per point",
+            dest="n_batches", min=1),
+        Arg("--batch-sizes", type=int, nargs="+", default=None,
+            help="batch sizes to sweep (default: the preset's)", min=1),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = preset size)"),
+        Arg("--error-rows", type=int, default=512,
+            help="synthetic vectors per codec for the error measurement", min=1),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[compression sweep: {run.preset} preset, {run.n_devices} GPUs, "
+        f"{run.n_batches} batches/point]"
+    ),
+    columns=(
+        ("codec", lambda p: p.codec),
+        ("backend", lambda p: p.backend),
+        ("batch", lambda p: f"{p.batch_size}"),
+        ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+        ("compute", lambda p: f"{to_ms(p.compute_ns):.3f}"),
+        ("comm", lambda p: f"{to_ms(p.comm_ns):.3f}"),
+        ("sync+unpack", lambda p: f"{to_ms(p.sync_unpack_ns):.3f}"),
+        ("enc (us)", lambda p: f"{p.encode_ns / us:.1f}"),
+        ("dec (us)", lambda p: f"{p.decode_ns / us:.1f}"),
+        ("wire (MB)", lambda p: f"{p.wire_bytes / 1e6:.3f}"),
+        ("ratio", lambda p: f"{p.compression_ratio:.2f}x"),
+        ("max err", lambda p: f"{p.max_abs_error:.2e}" if p.codec != "fp32" else "exact"),
+    ),
+    coords=("codec", "backend", "batch_size"),
+    artifact=Artifact(
+        file="BENCH_compression.json",
+        kind="compression",
+        keys=("preset", "n_devices", "n_batches"),
+        point_keys=(
+            "codec", "backend", "batch_size", "n_batches", "total_ns", "compute_ns",
+            "comm_ns", "sync_unpack_ns", "encode_ns", "decode_ns", "wire_bytes",
+            "uncompressed_bytes", "compression_ratio", "max_abs_error", "rmse",
+            "error_bound", "within_bound",
+        ),
+    ),
+    point_dict=payload("compression_ratio"),
+    invariants=(
+        rule("within-error-bound", lambda p, d: p["within_bound"],
+             "{label} ({codec}, {backend}): measured error {max_abs_error} "
+             "exceeds the codec bound"),
+        rule("wire-not-above-raw",
+             lambda p, d: p["wire_bytes"] <= p["uncompressed_bytes"],
+             "{label}: wire bytes exceed the uncompressed payload"),
+        rule("fp32-wire-identical",
+             lambda p, d: p["codec"] != "fp32"
+             or p["wire_bytes"] == p["uncompressed_bytes"],
+             "{label}: fp32 must be wire-identical"),
+        rule("fp32-exact",
+             lambda p, d: p["codec"] != "fp32" or p["max_abs_error"] == 0.0,
+             "{label}: fp32 must be exact"),
+        rule("ratio-matches-bytes", _ratio_matches,
+             "{label}: compression_ratio disagrees with its byte counts"),
+        Invariant("int8-beats-fp32", _int8_beats_fp32),
+    ),
+)
+
+
+def run_comp_sweep(preset: str = "tiny", **params: Any) -> SweepRun:
+    """Run the compression sweep from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``n_devices``, ``codecs``, ``bases``, ``n_batches``, ``batch_sizes``,
+    ``scale``, ``error_rows``, ``seed``.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_compsweep_json(data: Any) -> None:
+    """Validate a ``BENCH_compression.json`` payload (raises ``ValueError``)."""
+    SPEC.validate(data)

@@ -3,8 +3,8 @@
 Runs the same traced batch stream through each backend on a fresh cluster,
 extracts the run-level and per-batch critical paths (DESIGN.md §13), and
 renders where the bounding time went — compute, interconnect, unpack, or
-idle — next to the first-order "what-if" headroom.  ``write_json`` emits
-the artifact the CI regression gate (:mod:`repro.obs.regress`) diffs
+idle — next to the first-order "what-if" headroom.  The artifact is what
+the regression gate (:mod:`repro.obs.regress`, ``critpath --gate``) diffs
 against its committed baseline.
 """
 
@@ -12,22 +12,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..core.baseline import PhaseTiming
 from ..core.retrieval import DistributedEmbedding
-from ..core.runspec import RunSpec, preset_runspec
+from ..core.runspec import PRESETS, RunSpec
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import TraceSpec
 from ..obs.critpath import critical_path_report
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
-from .validate import check_artifact, check_point
+from .spec import Arg, Artifact, Invariant, SweepRun, SweepSpec, preset_workload, rule
 
 __all__ = [
     "CritPathPoint",
-    "CritPathResult",
+    "SPEC",
     "run_critpath",
     "validate_critpath_json",
 ]
@@ -52,204 +50,201 @@ class CritPathPoint:
     whatif: Dict[str, float]
     batches: List[Dict[str, Any]] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "n_batches": self.n_batches,
-            "wall_ns": float(self.wall_ns),
-            "path_ns": float(self.path_ns),
-            "by_category": {k: float(v) for k, v in self.by_category.items()},
-            "by_device": {k: float(v) for k, v in self.by_device.items()},
-            "slack_min_ns": float(self.slack_min_ns),
-            "slack_total_ns": float(self.slack_total_ns),
-            "whatif": {k: float(v) for k, v in self.whatif.items()},
-            "batches": self.batches,
-        }
+
+def _floats(d: Dict[str, Any]) -> Dict[str, float]:
+    return {k: float(v) for k, v in d.items()}
 
 
-@dataclass
-class CritPathResult:
-    """All backends' points for one preset, plus the artifact form."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[CritPathPoint] = field(default_factory=list)
-
-    def point(self, backend: str) -> CritPathPoint:
-        for p in self.points:
-            if p.backend == backend:
-                return p
-        raise KeyError(f"no critpath point for backend {backend!r}")
-
-    def render(self) -> str:
-        """Per-backend path breakdown as a text table (times in ms)."""
-        categories = sorted({c for p in self.points for c in p.by_category})
-        headers = ["backend", "wall (ms)"] + [f"{c} (ms)" for c in categories] + [
-            "top what-if"
-        ]
-        rows: List[List[str]] = []
-        for p in self.points:
-            row = [p.backend, f"{to_ms(p.wall_ns):.3f}"]
-            for c in categories:
-                ns = p.by_category.get(c, 0.0)
-                row.append(f"{to_ms(ns):.3f}" if ns else "-")
-            if p.whatif:
-                best = min(p.whatif.items(), key=lambda kv: kv[1])
-                label = best[0][len("zero_"):-len("_wall_ns")]
-                row.append(f"-{label}: {to_ms(best[1]):.3f}")
-            else:
-                row.append("-")
-            rows.append(row)
-        title = (
-            f"[critpath: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batch(es)]"
-        )
-        return f"{title}\n{format_table(headers, rows)}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_critpath.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-_POINT_KEYS = (
-    "backend", "n_batches", "wall_ns", "path_ns", "by_category",
-    "by_device", "slack_min_ns", "slack_total_ns", "whatif", "batches",
-)
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1.0)
-
-
-def validate_critpath_json(data: Any) -> None:
-    """Validate a ``BENCH_critpath.json`` payload (raises ``ValueError``).
-
-    Beyond shape, this enforces the invariants the artifact exists to
-    witness: the critical path tiles the wall exactly (run-level and per
-    batch), the category attribution sums to the path, per-span slack
-    never went negative, every what-if headroom stays within ``[0, wall]``
-    — and, when both backends ran on >= 2 devices, the baseline's path
-    crosses the interconnect (``comm``) while the PGAS path never does
-    (its transfers hide inside the fused kernel, the paper's core claim).
-    """
-    points = check_artifact(
-        data,
-        kind="critpath",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_devices", "n_batches"),
-    )
-    by_backend: Dict[str, Dict[str, Any]] = {}
-    for i, point in enumerate(points):
-        check_point(point, i, _POINT_KEYS)
-        label = f"point {i} ({point['backend']})"
-        if point["wall_ns"] <= 0:
-            raise ValueError(f"{label}: degenerate wall time")
-        if not _close(point["path_ns"], point["wall_ns"]):
-            raise ValueError(
-                f"{label}: critical path ({point['path_ns']}) does not tile "
-                f"the wall ({point['wall_ns']})"
-            )
-        cat_sum = sum(point["by_category"].values())
-        if not _close(cat_sum, point["path_ns"]):
-            raise ValueError(
-                f"{label}: category attribution ({cat_sum}) does not sum "
-                f"to the path ({point['path_ns']})"
-            )
-        dev_sum = sum(point["by_device"].values())
-        if not _close(dev_sum, point["path_ns"]):
-            raise ValueError(
-                f"{label}: device attribution ({dev_sum}) does not sum "
-                f"to the path ({point['path_ns']})"
-            )
-        if point["slack_min_ns"] < 0:
-            raise ValueError(f"{label}: negative per-span slack")
-        for name, wall in point["whatif"].items():
-            if not (0.0 <= wall <= point["wall_ns"] * (1.0 + _REL_TOL)):
-                raise ValueError(
-                    f"{label}: what-if {name} ({wall}) outside [0, wall]"
-                )
-        if not point["batches"]:
-            raise ValueError(f"{label}: traced run must carry per-batch paths")
-        for j, b in enumerate(point["batches"]):
-            if not _close(b["path_ns"], b["wall_ns"]):
-                raise ValueError(
-                    f"{label} batch {j}: per-batch path does not tile its wall"
-                )
-        by_backend[point["backend"]] = point
-    pgas = by_backend.get("pgas")
-    baseline = by_backend.get("baseline")
-    if pgas is not None and baseline is not None and data["n_devices"] >= 2:
-        if baseline["by_category"].get("comm", 0.0) <= 0:
-            raise ValueError(
-                "baseline's critical path never crossed the interconnect"
-            )
-        if pgas["by_category"].get("comm", 0.0) != 0.0:
-            raise ValueError(
-                "pgas critical path carries an exposed comm phase; its "
-                "transfers should hide inside the fused kernel"
-            )
-
-
-def run_critpath(
-    preset: str = "tiny",
-    *,
-    n_devices: int = 2,
-    backends: Sequence[str] = ("pgas", "baseline"),
-    n_batches: int = 2,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-) -> CritPathResult:
+def _run(args: Any):
     """Trace every backend over the same batches and extract its paths.
 
     Each backend gets a fresh cluster (so profiler records never mix) with
     request tracing on (``obs=TraceSpec()``) and the identical batch
     stream; ``scale`` shrinks the batch dimension for quick runs.
     """
-    if not backends:
-        raise ValueError("need at least one backend")
-    if n_batches < 1:
-        raise ValueError("n_batches must be >= 1")
-    cfg = preset_runspec(preset, n_devices).workload
-    if seed is not None:
-        import dataclasses
+    cfg = preset_workload(args.preset, args.n_devices, seed=args.seed, scale=args.scale)
+    spec = RunSpec(workload=cfg, n_devices=args.n_devices, name=args.preset,
+                   obs=TraceSpec())
 
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
-    spec = RunSpec(workload=cfg, n_devices=n_devices, name=preset, obs=TraceSpec())
-
-    result = CritPathResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
-    for backend in backends:
+    points = []
+    for backend in args.backends:
         emb = DistributedEmbedding.from_spec(spec, backend=backend)
         gen = SyntheticDataGenerator(cfg)
         timing = PhaseTiming()
-        for _ in range(n_batches):
+        for _ in range(args.n_batches):
             timing.add(emb.forward_timed(gen.lengths_batch()))
         report = critical_path_report(emb.cluster.profiler)
-        result.points.append(
+        points.append(
             CritPathPoint(
                 backend=backend,
-                n_batches=n_batches,
-                wall_ns=report["wall_ns"],
-                path_ns=report["path_ns"],
-                by_category=report["by_category"],
-                by_device=report["by_device"],
-                slack_min_ns=report["slack"]["min_ns"],
-                slack_total_ns=report["slack"]["total_ns"],
-                whatif=report["whatif"],
+                n_batches=args.n_batches,
+                wall_ns=float(report["wall_ns"]),
+                path_ns=float(report["path_ns"]),
+                by_category=_floats(report["by_category"]),
+                by_device=_floats(report["by_device"]),
+                slack_min_ns=float(report["slack"]["min_ns"]),
+                slack_total_ns=float(report["slack"]["total_ns"]),
+                whatif=_floats(report["whatif"]),
                 batches=report["batches"],
             )
         )
-    return result
+    envelope = {"preset": args.preset, "n_devices": args.n_devices,
+                "n_batches": args.n_batches}
+    return envelope, points
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1.0)
+
+
+def _columns(run: SweepRun):
+    categories = sorted({c for p in run.points for c in p.by_category})
+
+    def category(c: str):
+        def fmt(p: CritPathPoint) -> str:
+            ns = p.by_category.get(c, 0.0)
+            return f"{to_ms(ns):.3f}" if ns else "-"
+        return fmt
+
+    def top_whatif(p: CritPathPoint) -> str:
+        if not p.whatif:
+            return "-"
+        name, wall = min(p.whatif.items(), key=lambda kv: kv[1])
+        return f"-{name[len('zero_'):-len('_wall_ns')]}: {to_ms(wall):.3f}"
+
+    return (
+        [("backend", lambda p: p.backend),
+         ("wall (ms)", lambda p: f"{to_ms(p.wall_ns):.3f}")]
+        + [(f"{c} (ms)", category(c)) for c in categories]
+        + [("top what-if", top_whatif)]
+    )
+
+
+def _attribution_sums(key: str, what: str) -> Invariant:
+    def check(label, p, data) -> Optional[str]:
+        total = sum(p[key].values())
+        if _close(total, p["path_ns"]):
+            return None
+        return (f"{label}: {what} attribution ({total}) does not sum "
+                f"to the path ({p['path_ns']})")
+    return Invariant(f"{what}-attribution-sums", check, per_point=True)
+
+
+def _whatif_in_range(label, p, data) -> Optional[str]:
+    for name, wall in p["whatif"].items():
+        if not (0.0 <= wall <= p["wall_ns"] * (1.0 + _REL_TOL)):
+            return f"{label}: what-if {name} ({wall}) outside [0, wall]"
+    return None
+
+
+def _batches_tile(label, p, data) -> Optional[str]:
+    if not p["batches"]:
+        return f"{label}: traced run must carry per-batch paths"
+    for j, b in enumerate(p["batches"]):
+        if not _close(b["path_ns"], b["wall_ns"]):
+            return f"{label} batch {j}: per-batch path does not tile its wall"
+    return None
+
+
+def _pgas_hides_comm(points, data) -> Optional[str]:
+    by_backend = {p["backend"]: p for p in points}
+    pgas = by_backend.get("pgas")
+    baseline = by_backend.get("baseline")
+    if pgas is None or baseline is None or data["n_devices"] < 2:
+        return None
+    if baseline["by_category"].get("comm", 0.0) <= 0:
+        return "baseline's critical path never crossed the interconnect"
+    if pgas["by_category"].get("comm", 0.0) != 0.0:
+        return ("pgas critical path carries an exposed comm phase; its "
+                "transfers should hide inside the fused kernel")
+    return None
+
+
+def _gate(args: Any, run: SweepRun) -> int:
+    """Compare the fresh run against ``--gate``'s committed artifact."""
+    if not args.gate:
+        return 0
+    from ..obs.regress import Tolerance, compare_critpath
+
+    with open(args.gate) as fh:
+        baseline = json.load(fh)
+    gate = compare_critpath(
+        baseline,
+        run.as_dict(),
+        tolerance=Tolerance(rel=args.gate_rel, abs_ns=args.gate_abs_ns),
+    )
+    print(gate.render())
+    return 0 if gate.passed else 1
+
+
+SPEC = SweepSpec(
+    name="critpath",
+    help="traced critical-path attribution + BENCH_critpath.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="tiny",
+            help="workload preset (resolved via preset_runspec)"),
+        Arg("--gpus", type=int, default=2, help="simulated GPU count",
+            dest="n_devices", min=1),
+        Arg("--backends", nargs="+", default=["pgas", "baseline"],
+            help="backends to trace"),
+        Arg("--batches", type=int, default=2, help="batches per backend",
+            dest="n_batches", min=1),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = preset size)"),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    cli_args=(
+        Arg("--gate", default=None, metavar="BASELINE_JSON",
+            help="compare against this committed artifact; exit 1 on breach"),
+        Arg("--gate-rel", type=float, default=0.05,
+            help="relative tolerance for the regression gate"),
+        Arg("--gate-abs-ns", type=float, default=1000.0,
+            help="absolute tolerance floor for the regression gate (ns)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[critpath: {run.preset} preset, {run.n_devices} GPUs, "
+        f"{run.n_batches} batch(es)]"
+    ),
+    columns=_columns,
+    coords=("backend",),
+    artifact=Artifact(
+        file="BENCH_critpath.json",
+        kind="critpath",
+        keys=("preset", "n_devices", "n_batches"),
+        point_keys=(
+            "backend", "n_batches", "wall_ns", "path_ns", "by_category",
+            "by_device", "slack_min_ns", "slack_total_ns", "whatif", "batches",
+        ),
+        label="point {i} ({backend})",
+    ),
+    invariants=(
+        rule("positive-wall", lambda p, d: p["wall_ns"] > 0,
+             "{label}: degenerate wall time"),
+        rule("path-tiles-wall", lambda p, d: _close(p["path_ns"], p["wall_ns"]),
+             "{label}: critical path ({path_ns}) does not tile the wall ({wall_ns})"),
+        _attribution_sums("by_category", "category"),
+        _attribution_sums("by_device", "device"),
+        rule("non-negative-slack", lambda p, d: p["slack_min_ns"] >= 0,
+             "{label}: negative per-span slack"),
+        Invariant("whatif-in-range", _whatif_in_range, per_point=True),
+        Invariant("batches-tile", _batches_tile, per_point=True),
+        Invariant("pgas-hides-comm", _pgas_hides_comm),
+    ),
+    finish=_gate,
+)
+
+
+def run_critpath(preset: str = "tiny", **params: Any) -> SweepRun:
+    """Run the critical-path bench from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``n_devices``, ``backends``, ``n_batches``, ``scale``, ``seed``.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_critpath_json(data: Any) -> None:
+    """Validate a ``BENCH_critpath.json`` payload (raises ``ValueError``)."""
+    SPEC.validate(data)

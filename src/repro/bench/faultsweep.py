@@ -16,8 +16,8 @@ healthy-path advantage under fault?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 from ..core.pipeline import DLRMInferencePipeline
 from ..core.runspec import RunSpec
@@ -25,9 +25,9 @@ from ..core.serving import InferenceServer, SchedulerSpec, ServingResult, Servin
 from ..dlrm.data import WorkloadConfig
 from ..faults import FaultInjector, FaultPlan, ResilienceSpec
 from ..simgpu.units import ms
-from .reporting import format_table
+from .spec import Arg, SweepRun, SweepSpec, workload_args, workload_from_args
 
-__all__ = ["FaultSweepPoint", "FaultSweepResult", "run_fault_sweep"]
+__all__ = ["FaultSweepPoint", "SPEC", "run_fault_sweep"]
 
 
 @dataclass(frozen=True)
@@ -45,80 +45,38 @@ class FaultSweepPoint:
         return self.result.backend
 
 
-@dataclass
-class FaultSweepResult:
-    """A finished fault sweep."""
-
-    n_devices: int
-    n_requests: int
-    arrival_qps: float
-    deadline_ns: Optional[float]
-    points: List[FaultSweepPoint] = field(default_factory=list)
-
-    def point(self, severity: float, base: str) -> FaultSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.severity == severity and p.base == base:
-                return p
-        raise KeyError(f"no point ({severity}, {base})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            r = p.result
-            served = r.n_requests > 0
-            rows.append(
-                [
-                    f"{p.severity:g}",
-                    p.base,
-                    f"{p.n_faults}",
-                    f"{r.n_requests}/{r.n_offered}",
-                    f"{r.shed_fraction:.1%}",
-                    f"{r.degraded_fraction:.2%}",
-                    f"{r.emb_retries}",
-                    f"{r.emb_reroutes}",
-                    f"{r.n_hedged}",
-                    f"{r.deadline_hit_rate:.1%}" if served else "-",
-                    f"{r.p50_ms:.2f}" if served else "-",
-                    f"{r.p99_ms:.2f}" if served else "-",
-                    f"{r.goodput_qps:,.0f}" if served else "-",
-                ]
-            )
-        deadline = (
-            f"deadline {self.deadline_ns / ms:.2f} ms"
-            if self.deadline_ns is not None
-            else "no deadline"
-        )
-        return (
-            f"[fault sweep @ {self.n_devices} GPUs, {self.n_requests} requests, "
-            f"{self.arrival_qps:,.0f} qps, {deadline}]\n"
-            + format_table(
-                [
-                    "severity",
-                    "backend",
-                    "faults",
-                    "served",
-                    "shed",
-                    "degraded",
-                    "retries",
-                    "reroutes",
-                    "hedged",
-                    "hit rate",
-                    "p50 (ms)",
-                    "p99 (ms)",
-                    "goodput",
-                ],
-                rows,
-            )
-        )
-
-
 def run_fault_sweep(
     base_config: WorkloadConfig,
     severities: Sequence[float],
     *,
     bases: Sequence[str] = ("pgas", "baseline"),
+    **options: Any,
+) -> SweepRun:
+    """Serve a request stream at each fault severity with each base backend.
+
+    Every point gets a *fresh* pipeline (its own cluster: fault state
+    never leaks between points) and the same seeds, so the severity axis
+    is the only thing changing along a row.  ``options`` are the serving
+    knobs of the grid (``n_devices``, ``n_requests``, ``arrival_qps``,
+    ``deadline_ns``, ``emb_deadline_ns``, ``queue_limit``,
+    ``hedge_after_ns``, ``max_batch``, ``batch_window_ns``, ``seed``,
+    ``scheduler``).  ``emb_deadline_ns`` drives the resilient wrapper's
+    retry machinery; ``deadline_ns`` is the request-level SLO being
+    reported against.  ``scheduler`` optionally enables continuous
+    batching at every point (default: sequential).
+    """
+    if not severities:
+        raise ValueError("need at least one severity")
+    if not bases:
+        raise ValueError("need at least one base backend")
+    return SweepRun(SPEC, *_grid(base_config, severities, bases, **options))
+
+
+def _grid(
+    base_config: WorkloadConfig,
+    severities: Sequence[float],
+    bases: Sequence[str],
+    *,
     n_devices: int = 4,
     n_requests: int = 64,
     arrival_qps: float = 50_000.0,
@@ -130,26 +88,8 @@ def run_fault_sweep(
     batch_window_ns: float = 0.2 * ms,
     seed: int = 0,
     scheduler: Optional[SchedulerSpec] = None,
-) -> FaultSweepResult:
-    """Serve a request stream at each fault severity with each base backend.
-
-    Every point gets a *fresh* pipeline (its own cluster: fault state
-    never leaks between points) and the same seeds, so the severity axis
-    is the only thing changing along a row.  ``emb_deadline_ns`` drives
-    the resilient wrapper's retry machinery; ``deadline_ns`` is the
-    request-level SLO being reported against.  ``scheduler`` optionally
-    enables continuous batching at every point (default: sequential).
-    """
-    if not severities:
-        raise ValueError("need at least one severity")
-    if not bases:
-        raise ValueError("need at least one base backend")
-    sweep = FaultSweepResult(
-        n_devices=n_devices,
-        n_requests=n_requests,
-        arrival_qps=arrival_qps,
-        deadline_ns=deadline_ns,
-    )
+):
+    points = []
     # Plan horizon: a little past the expected arrival span, so windows
     # land inside the run instead of after it.
     horizon_ns = max(n_requests * 1e9 / arrival_qps * 2.0, 2 * ms)
@@ -178,9 +118,82 @@ def run_fault_sweep(
             FaultInjector(pipeline.cluster, plan).install()
             server = InferenceServer.from_spec(spec, pipeline=pipeline)
             result = server.simulate(n_requests)
-            sweep.points.append(
+            points.append(
                 FaultSweepPoint(
                     severity=severity, base=base, n_faults=len(plan), result=result
                 )
             )
-    return sweep
+    envelope = {"n_devices": n_devices, "n_requests": n_requests,
+                "arrival_qps": arrival_qps, "deadline_ns": deadline_ns}
+    return envelope, points
+
+
+def _run(args: Any):
+    return _grid(
+        workload_from_args(args),
+        args.severities,
+        args.backends,
+        n_devices=args.gpus,
+        n_requests=args.requests,
+        arrival_qps=args.qps,
+        deadline_ns=args.deadline_ms * ms,
+        emb_deadline_ns=args.emb_deadline_ms * ms,
+        queue_limit=args.queue_limit,
+        hedge_after_ns=args.hedge_ms * ms if args.hedge_ms is not None else None,
+        seed=args.seed,
+    )
+
+
+def _title(run: SweepRun) -> str:
+    deadline = (
+        f"deadline {run.deadline_ns / ms:.2f} ms"
+        if run.deadline_ns is not None
+        else "no deadline"
+    )
+    return (
+        f"[fault sweep @ {run.n_devices} GPUs, {run.n_requests} requests, "
+        f"{run.arrival_qps:,.0f} qps, {deadline}]"
+    )
+
+
+def _served(fmt):
+    return lambda p: fmt(p.result) if p.result.n_requests > 0 else "-"
+
+
+SPEC = SweepSpec(
+    name="faultsweep",
+    help="serving SLOs vs fault severity",
+    args=workload_args(tables=8, rows=4096, dim=16, batch=512, pooling=4, gpus=4) + (
+        Arg("--severities", type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9],
+            help="fault severities in [0, 1] (0 = healthy reference)"),
+        Arg("--backends", nargs="+", choices=("pgas", "baseline"),
+            default=["pgas", "baseline"], help="base backends to wrap"),
+        Arg("--requests", type=int, default=48, help="requests per point", min=1),
+        Arg("--qps", type=float, default=50_000.0, help="offered load"),
+        Arg("--deadline-ms", type=float, default=2.0, help="request SLO deadline (ms)"),
+        Arg("--emb-deadline-ms", type=float, default=0.25,
+            help="per-attempt EMB deadline driving retries (ms)"),
+        Arg("--queue-limit", type=int, default=512,
+            help="shed arrivals beyond this queue depth", min=1),
+        Arg("--hedge-ms", type=float, default=None,
+            help="hedge batches running longer than this (ms)"),
+    ),
+    run=_run,
+    title=_title,
+    columns=(
+        ("severity", lambda p: f"{p.severity:g}"),
+        ("backend", lambda p: p.base),
+        ("faults", lambda p: f"{p.n_faults}"),
+        ("served", lambda p: f"{p.result.n_requests}/{p.result.n_offered}"),
+        ("shed", lambda p: f"{p.result.shed_fraction:.1%}"),
+        ("degraded", lambda p: f"{p.result.degraded_fraction:.2%}"),
+        ("retries", lambda p: f"{p.result.emb_retries}"),
+        ("reroutes", lambda p: f"{p.result.emb_reroutes}"),
+        ("hedged", lambda p: f"{p.result.n_hedged}"),
+        ("hit rate", _served(lambda r: f"{r.deadline_hit_rate:.1%}")),
+        ("p50 (ms)", _served(lambda r: f"{r.p50_ms:.2f}")),
+        ("p99 (ms)", _served(lambda r: f"{r.p99_ms:.2f}")),
+        ("goodput", _served(lambda r: f"{r.goodput_qps:,.0f}")),
+    ),
+    coords=("severity", "base"),
+)

@@ -23,9 +23,8 @@ efficiency charge as wire, so the predicate is effectively never true for
 it on this fabric; the PGAS points at small message sizes are where the
 bound bites.)
 
-``write_json`` emits ``BENCH_hier.json``; :func:`validate_hiersweep_json`
-is the self-check, enforcing the invariants the artifact exists to
-witness: hierarchical routing never increases the inter-node message
+The artifact is ``BENCH_hier.json``; :data:`SPEC`'s invariants are the
+self-check, enforcing what the artifact exists to witness: hierarchical routing never increases the inter-node message
 count (strictly lowers it whenever more than one GPU per node sends
 off-node), degenerate geometries (``devices_per_node == 1`` or a single
 node) recover flat routing exactly, and every message-rate-bound point
@@ -34,29 +33,24 @@ shows a wall-time win.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from ..comm.collective import CollectiveSpec
 from ..comm.hier import HierSpec, inter_node_message_count, inter_node_wire_bytes
 from ..comm.pgas import PGASSpec
 from ..core.factory import build_backend
-from ..core.runspec import RunSpec
+from ..core.runspec import PRESETS, RunSpec
 from ..dlrm.data import SyntheticDataGenerator
 from ..simgpu.cluster import multinode
 from ..simgpu.interconnect import NIC_SPEC
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
-from .telemetry import preset_workload
-from .validate import check_artifact, check_point
+from .spec import Arg, Artifact, SweepRun, SweepSpec, payload, preset_workload, rule
 
 __all__ = [
     "HierSweepPoint",
-    "HierSweepResult",
+    "SPEC",
     "run_hiersweep",
     "validate_hiersweep_json",
 ]
@@ -123,199 +117,8 @@ class HierSweepPoint:
             return 0.0
         return 1.0 - self.hier_inter_messages / self.flat_inter_messages
 
-    def as_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["speedup"] = self.speedup
-        payload["message_reduction"] = self.message_reduction
-        return payload
 
-
-@dataclass
-class HierSweepResult:
-    """A finished hierarchy sweep."""
-
-    preset: str
-    n_batches: int
-    scale: float = 1.0  #: batch-size scale factor the sweep ran at
-    points: List[HierSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, n_nodes: int, devices_per_node: int,
-              message_bytes: int) -> HierSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if (p.backend == backend and p.n_nodes == n_nodes
-                    and p.devices_per_node == devices_per_node
-                    and p.message_bytes == message_bytes):
-                return p
-        raise KeyError(
-            f"no point ({backend}, {n_nodes}x{devices_per_node}, "
-            f"msg={message_bytes})"
-        )
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.n_nodes}x{p.devices_per_node}",
-                    f"{p.message_bytes}",
-                    f"{to_ms(p.flat_total_ns):.3f}",
-                    f"{to_ms(p.hier_total_ns):.3f}",
-                    f"{p.speedup:.3f}x",
-                    f"{p.flat_inter_messages}",
-                    f"{p.hier_inter_messages}",
-                    f"{100.0 * p.message_reduction:.1f}%",
-                    "yes" if p.message_rate_bound else "-",
-                ]
-            )
-        title = (
-            f"[hier sweep: {self.preset} preset, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "nodes",
-                "msg (B)",
-                "flat (ms)",
-                "hier (ms)",
-                "speedup",
-                "flat msgs",
-                "hier msgs",
-                "reduction",
-                "rate-bound",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_hier.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_batches": self.n_batches,
-            "scale": self.scale,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-_POINT_KEYS = (
-    "backend", "n_nodes", "devices_per_node", "message_bytes", "n_batches",
-    "flat_total_ns", "hier_total_ns", "flat_inter_messages",
-    "hier_inter_messages", "flat_inter_bytes", "hier_inter_bytes",
-    "hier_nic_transfers", "hier_fwd_bytes", "hier_scatter_bytes",
-    "nic_bandwidth", "nic_per_message_ns", "message_wire_bytes",
-    "message_rate_bound", "speedup", "message_reduction",
-)
-
-
-def validate_hiersweep_json(data: Any) -> None:
-    """Validate a ``BENCH_hier.json`` payload (raises ``ValueError``).
-
-    Beyond shape, this enforces the routing invariants the artifact
-    exists to pin:
-
-    * hierarchical routing never *increases* the inter-node message
-      count or wire volume, and strictly lowers the message count
-      whenever more than one GPU per node sends off-node;
-    * degenerate geometries (``devices_per_node == 1`` or a single node)
-      recover flat routing exactly — identical wall time and identical
-      NIC traffic;
-    * the stored ``message_rate_bound`` flag matches the predicate
-      recomputed from the point's own NIC parameters, and every
-      rate-bound point shows a hierarchical wall-time win.
-    """
-    points = check_artifact(
-        data,
-        kind="hier",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_batches"),
-    )
-    for i, point in enumerate(points):
-        check_point(point, i, _POINT_KEYS)
-        label = (
-            f"point {i} ({point['backend']}, "
-            f"{point['n_nodes']}x{point['devices_per_node']}, "
-            f"msg={point['message_bytes']})"
-        )
-        if point["backend"] not in _BASES:
-            raise ValueError(f"{label}: unknown base backend")
-        for key in ("flat_total_ns", "hier_total_ns"):
-            if not math.isfinite(point[key]) or point[key] <= 0:
-                raise ValueError(f"{label}: degenerate timing in {key!r}")
-        for key in ("flat_inter_messages", "hier_inter_messages",
-                    "flat_inter_bytes", "hier_inter_bytes"):
-            if point[key] < 0:
-                raise ValueError(f"{label}: negative traffic in {key!r}")
-        multi_node = point["n_nodes"] > 1
-        multi_gpu = point["devices_per_node"] > 1
-        if point["hier_inter_messages"] > point["flat_inter_messages"]:
-            raise ValueError(
-                f"{label}: hierarchy increased inter-node messages "
-                f"({point['flat_inter_messages']} -> "
-                f"{point['hier_inter_messages']})"
-            )
-        if point["hier_inter_bytes"] > point["flat_inter_bytes"]:
-            raise ValueError(
-                f"{label}: hierarchy increased inter-node wire bytes"
-            )
-        if multi_node and multi_gpu:
-            if point["hier_inter_messages"] >= point["flat_inter_messages"]:
-                raise ValueError(
-                    f"{label}: expected a strict inter-node message "
-                    f"reduction with {point['devices_per_node']} GPUs/node"
-                )
-            if point["hier_nic_transfers"] <= 0:
-                raise ValueError(f"{label}: no coalesced NIC transfers ran")
-        else:
-            # Degenerate geometry: the hierarchy must be a perfect no-op.
-            if point["hier_total_ns"] != point["flat_total_ns"]:
-                raise ValueError(
-                    f"{label}: degenerate geometry changed wall time "
-                    f"({point['flat_total_ns']} != {point['hier_total_ns']})"
-                )
-            if point["hier_inter_messages"] != point["flat_inter_messages"]:
-                raise ValueError(
-                    f"{label}: degenerate geometry changed NIC traffic"
-                )
-            if point["hier_nic_transfers"] or point["hier_fwd_bytes"]:
-                raise ValueError(
-                    f"{label}: degenerate geometry staged traffic"
-                )
-        if not multi_node:
-            if point["flat_inter_messages"] or point["flat_inter_bytes"]:
-                raise ValueError(f"{label}: single node carried NIC traffic")
-        expected_bound = _rate_bound(point)
-        if bool(point["message_rate_bound"]) != expected_bound:
-            raise ValueError(
-                f"{label}: message_rate_bound flag does not match the "
-                f"predicate recomputed from the point's NIC parameters"
-            )
-        if expected_bound and point["hier_total_ns"] >= point["flat_total_ns"]:
-            raise ValueError(
-                f"{label}: message-rate-bound point shows no wall-time win "
-                f"({point['flat_total_ns']} -> {point['hier_total_ns']})"
-            )
-
-
-def run_hiersweep(
-    preset: str = "tiny",
-    *,
-    bases: Sequence[str] = _BASES,
-    nodes: Sequence[int] = (1, 2, 3),
-    devices_per_node: Sequence[int] = (1, 2, 4),
-    message_sizes: Sequence[int] = (32, 256, 4096),
-    n_batches: int = 2,
-    scale: float = 1.0,
-    seed: int | None = None,
-) -> HierSweepResult:
+def _run(args: Any):
     """Measure every (backend, geometry, message size) grid point.
 
     Each point builds two embeddings on identical fresh
@@ -325,27 +128,22 @@ def run_hiersweep(
     ``message_sizes`` maps to ``PGASSpec(message_bytes=...)`` for the
     PGAS base and ``CollectiveSpec(chunk_bytes=...)`` for the baseline.
     """
-    for base in bases:
+    for base in args.bases:
         if base not in _BASES:
             raise ValueError(f"unknown base backend {base!r}")
-    if not nodes or not devices_per_node or not message_sizes:
-        raise ValueError("every sweep axis needs at least one value")
-    if n_batches < 1:
-        raise ValueError("need at least one batch per point")
+    n_batches = args.n_batches
 
-    sweep = HierSweepResult(preset=preset, n_batches=n_batches, scale=scale)
-    for base in bases:
-        for n_nodes in nodes:
-            for dpn in devices_per_node:
+    points = []
+    for base in args.bases:
+        for n_nodes in args.nodes:
+            for dpn in args.devices_per_node:
                 n_devices = n_nodes * dpn
                 if n_devices < 2:
                     continue  # a 1x1 system has no communication at all
-                cfg = preset_workload(preset, n_devices)
-                if seed is not None:
-                    cfg = dataclasses.replace(cfg, seed=seed)
-                if scale != 1.0:
-                    cfg = scaled_config(cfg, scale)
-                for msg in message_sizes:
+                cfg = preset_workload(
+                    args.preset, n_devices, seed=args.seed, scale=args.scale
+                )
+                for msg in args.message_sizes:
                     collective = CollectiveSpec(chunk_bytes=msg)
                     pgas = PGASSpec(message_bytes=msg)
                     totals = {}
@@ -417,5 +215,144 @@ def run_hiersweep(
                     point_fields["message_rate_bound"] = _rate_bound(
                         point_fields
                     )
-                    sweep.points.append(HierSweepPoint(**point_fields))
-    return sweep
+                    points.append(HierSweepPoint(**point_fields))
+    envelope = {"preset": args.preset, "n_batches": n_batches, "scale": args.scale}
+    return envelope, points
+
+
+def _active(p: Dict[str, Any]) -> bool:
+    """More than one GPU per node sends off-node: the hierarchy has work."""
+    return p["n_nodes"] > 1 and p["devices_per_node"] > 1
+
+
+def _positive_timing(key: str):
+    return rule(f"positive-{key}",
+                lambda p, d: math.isfinite(p[key]) and p[key] > 0,
+                "{label}: degenerate timing in " + repr(key))
+
+
+def _non_negative(key: str):
+    return rule(f"non-negative-{key}", lambda p, d: p[key] >= 0,
+                "{label}: negative traffic in " + repr(key))
+
+
+SPEC = SweepSpec(
+    name="hiersweep",
+    help="flat vs hierarchical routing sweep + BENCH_hier.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="tiny",
+            help="workload preset (resolved via preset_runspec)"),
+        Arg("--bases", nargs="+", default=["pgas", "baseline"],
+            help="base backends to route (pgas / baseline)"),
+        Arg("--nodes", type=int, nargs="+", default=[1, 2, 3],
+            help="simulated node counts", min=1),
+        Arg("--gpus-per-node", type=int, nargs="+", default=[1, 2, 4],
+            help="simulated GPUs per node", dest="devices_per_node", min=1),
+        Arg("--message-bytes", type=int, nargs="+", default=[32, 256, 4096],
+            help="PGAS message size / collective chunk size per point",
+            dest="message_sizes", min=1),
+        Arg("--batches", type=int, default=2, help="batches per point",
+            dest="n_batches", min=1),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = preset size)"),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[hier sweep: {run.preset} preset, {run.n_batches} batches/point]"
+    ),
+    columns=(
+        ("backend", lambda p: p.backend),
+        ("nodes", lambda p: f"{p.n_nodes}x{p.devices_per_node}"),
+        ("msg (B)", lambda p: f"{p.message_bytes}"),
+        ("flat (ms)", lambda p: f"{to_ms(p.flat_total_ns):.3f}"),
+        ("hier (ms)", lambda p: f"{to_ms(p.hier_total_ns):.3f}"),
+        ("speedup", lambda p: f"{p.speedup:.3f}x"),
+        ("flat msgs", lambda p: f"{p.flat_inter_messages}"),
+        ("hier msgs", lambda p: f"{p.hier_inter_messages}"),
+        ("reduction", lambda p: f"{100.0 * p.message_reduction:.1f}%"),
+        ("rate-bound", lambda p: "yes" if p.message_rate_bound else "-"),
+    ),
+    coords=("backend", "n_nodes", "devices_per_node", "message_bytes"),
+    artifact=Artifact(
+        file="BENCH_hier.json",
+        kind="hier",
+        keys=("preset", "n_batches", "scale"),
+        point_keys=(
+            "backend", "n_nodes", "devices_per_node", "message_bytes", "n_batches",
+            "flat_total_ns", "hier_total_ns", "flat_inter_messages",
+            "hier_inter_messages", "flat_inter_bytes", "hier_inter_bytes",
+            "hier_nic_transfers", "hier_fwd_bytes", "hier_scatter_bytes",
+            "nic_bandwidth", "nic_per_message_ns", "message_wire_bytes",
+            "message_rate_bound", "speedup", "message_reduction",
+        ),
+        label="point {i} ({backend}, {n_nodes}x{devices_per_node}, msg={message_bytes})",
+    ),
+    point_dict=payload("speedup", "message_reduction"),
+    invariants=(
+        rule("known-base", lambda p, d: p["backend"] in _BASES,
+             "{label}: unknown base backend"),
+        _positive_timing("flat_total_ns"),
+        _positive_timing("hier_total_ns"),
+        _non_negative("flat_inter_messages"),
+        _non_negative("hier_inter_messages"),
+        _non_negative("flat_inter_bytes"),
+        _non_negative("hier_inter_bytes"),
+        rule("messages-never-increase",
+             lambda p, d: p["hier_inter_messages"] <= p["flat_inter_messages"],
+             "{label}: hierarchy increased inter-node messages "
+             "({flat_inter_messages} -> {hier_inter_messages})"),
+        rule("bytes-never-increase",
+             lambda p, d: p["hier_inter_bytes"] <= p["flat_inter_bytes"],
+             "{label}: hierarchy increased inter-node wire bytes"),
+        rule("active-strict-reduction",
+             lambda p, d: not _active(p)
+             or p["hier_inter_messages"] < p["flat_inter_messages"],
+             "{label}: expected a strict inter-node message "
+             "reduction with {devices_per_node} GPUs/node"),
+        rule("active-coalesces",
+             lambda p, d: not _active(p) or p["hier_nic_transfers"] > 0,
+             "{label}: no coalesced NIC transfers ran"),
+        # Degenerate geometry: the hierarchy must be a perfect no-op.
+        rule("degenerate-same-wall",
+             lambda p, d: _active(p) or p["hier_total_ns"] == p["flat_total_ns"],
+             "{label}: degenerate geometry changed wall time "
+             "({flat_total_ns} != {hier_total_ns})"),
+        rule("degenerate-same-traffic",
+             lambda p, d: _active(p)
+             or p["hier_inter_messages"] == p["flat_inter_messages"],
+             "{label}: degenerate geometry changed NIC traffic"),
+        rule("degenerate-no-staging",
+             lambda p, d: _active(p)
+             or not (p["hier_nic_transfers"] or p["hier_fwd_bytes"]),
+             "{label}: degenerate geometry staged traffic"),
+        rule("single-node-no-nic",
+             lambda p, d: p["n_nodes"] > 1
+             or not (p["flat_inter_messages"] or p["flat_inter_bytes"]),
+             "{label}: single node carried NIC traffic"),
+        rule("rate-bound-flag",
+             lambda p, d: bool(p["message_rate_bound"]) == _rate_bound(p),
+             "{label}: message_rate_bound flag does not match the "
+             "predicate recomputed from the point's NIC parameters"),
+        rule("rate-bound-wins",
+             lambda p, d: not _rate_bound(p) or p["hier_total_ns"] < p["flat_total_ns"],
+             "{label}: message-rate-bound point shows no wall-time win "
+             "({flat_total_ns} -> {hier_total_ns})"),
+    ),
+)
+
+
+def run_hiersweep(preset: str = "tiny", **params: Any) -> SweepRun:
+    """Run the hierarchy sweep from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``bases``, ``nodes``, ``devices_per_node``, ``message_sizes``,
+    ``n_batches``, ``scale``, ``seed``.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_hiersweep_json(data: Any) -> None:
+    """Validate a ``BENCH_hier.json`` payload (raises ``ValueError``)."""
+    SPEC.validate(data)

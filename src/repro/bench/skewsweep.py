@@ -15,41 +15,39 @@ synthetic batch stream, and records:
 * **migration traffic** — plans adopted, tables moved, migrated bytes
   and busy time from the ``reshard.*`` counters.
 
-``write_json`` emits ``BENCH_reshard.json`` for the CI reshard-smoke
-gate; :func:`validate_skewsweep_json` is the self-check — it enforces
-the invariants the artifact exists to witness: static placement never
-migrates, resharding never *worsens* the imbalance it observed, and
-migration counters are self-consistent (moves ⇔ bytes ⇔ time).
+The artifact is ``BENCH_reshard.json``; :data:`SPEC`'s invariants are
+the self-check: every imbalance is a max/mean (>= 1), static placement
+never migrates and never changes ownership, resharding never *worsens*
+the imbalance it observed, migration counters are self-consistent
+(moves ⇔ bytes ⇔ time), and — for every skew level where both ran —
+the ``+reshard`` point's observed traffic matches its static twin's, so
+the before/after comparison is apples to apples.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import build_backend, parse_backend_name
-from ..core.runspec import RunSpec
+from ..core.runspec import PRESETS, RunSpec
 from ..core.workload import table_segments
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import TraceSpec
 from ..obs.critpath import critical_path_report
 from ..reshard import ReshardSpec
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
-from .telemetry import preset_workload
-from .validate import check_artifact, check_point
+from .spec import Arg, Artifact, Invariant, SweepRun, SweepSpec, payload, preset_workload, rule
 
 __all__ = [
+    "SPEC",
     "SkewSweepPoint",
-    "SkewSweepResult",
     "run_skew_sweep",
     "validate_skewsweep_json",
 ]
@@ -100,167 +98,8 @@ class SkewSweepPoint:
             return 0.0
         return 1.0 - self.imbalance_after / self.imbalance_before
 
-    def as_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        payload["imbalance_reduction"] = self.imbalance_reduction
-        return payload
 
-
-@dataclass
-class SkewSweepResult:
-    """A finished skew sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[SkewSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, skew_alpha: float) -> SkewSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.backend == backend and p.skew_alpha == skew_alpha:
-                return p
-        raise KeyError(f"no point ({backend}, skew={skew_alpha})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.skew_alpha:g}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{to_ms(p.p99_batch_ns):.4f}",
-                    f"{to_ms(p.comm_ns):.3f}",
-                    f"{to_ms(p.critpath_comm_ns):.3f}",
-                    f"{p.imbalance_before:.3f}",
-                    f"{p.imbalance_after:.3f}",
-                    f"{100.0 * p.imbalance_reduction:.1f}%",
-                    f"{int(p.tables_moved)}",
-                    f"{p.migration_bytes / 1e6:.3f}",
-                ]
-            )
-        title = (
-            f"[skew sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "skew",
-                "total (ms)",
-                "p99 (ms)",
-                "comm (ms)",
-                "cp comm (ms)",
-                "imb before",
-                "imb after",
-                "reduction",
-                "moved",
-                "migrated (MB)",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_reshard.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-_POINT_KEYS = (
-    "backend", "skew_alpha", "n_batches", "total_ns", "p99_batch_ns",
-    "comm_ns", "critpath_comm_ns", "imbalance_before", "imbalance_after",
-    "max_device_bytes_before", "max_device_bytes_after", "plans",
-    "tables_moved", "migrations", "migration_bytes", "migration_ns",
-    "advisories", "imbalance_reduction",
-)
-
-
-def validate_skewsweep_json(data: Any) -> None:
-    """Validate a ``BENCH_reshard.json`` payload (raises ``ValueError``).
-
-    Beyond shape, this enforces the resharding invariants: every
-    imbalance is a max/mean (>= 1), static backends never migrate and
-    never change ownership (before == after), resharding backends never
-    worsen the imbalance they observed, migration counters are
-    self-consistent (completed migrations move bytes and take time), and
-    — for every skew level where both ran — the ``+reshard`` point's
-    observed traffic matches its static twin's, so the before/after
-    comparison is apples to apples.
-    """
-    points = check_artifact(
-        data,
-        kind="reshard",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_devices", "n_batches"),
-    )
-    by_pair: Dict[Any, Dict[bool, Dict[str, Any]]] = {}
-    for i, point in enumerate(points):
-        check_point(point, i, _POINT_KEYS)
-        label = f"point {i} ({point['backend']}, skew={point['skew_alpha']})"
-        for key in ("imbalance_before", "imbalance_after"):
-            if not math.isfinite(point[key]) or point[key] < 1.0 - 1e-9:
-                raise ValueError(f"{label}: {key} must be a finite max/mean >= 1")
-        if point["total_ns"] <= 0 or point["p99_batch_ns"] <= 0:
-            raise ValueError(f"{label}: degenerate timing")
-        resharded = "+reshard" in point["backend"]
-        if not resharded:
-            if point["migrations"] or point["migration_bytes"] or point["plans"]:
-                raise ValueError(f"{label}: static backend moved migration traffic")
-            if point["imbalance_after"] != point["imbalance_before"]:
-                raise ValueError(f"{label}: static backend changed ownership")
-        else:
-            if point["imbalance_after"] > point["imbalance_before"] + 1e-9:
-                raise ValueError(
-                    f"{label}: resharding worsened imbalance "
-                    f"({point['imbalance_before']:.4f} -> "
-                    f"{point['imbalance_after']:.4f})"
-                )
-            if (point["migrations"] > 0) != (point["migration_bytes"] > 0):
-                raise ValueError(f"{label}: migrations and migrated bytes disagree")
-            if point["migrations"] > 0 and point["migration_ns"] <= 0:
-                raise ValueError(f"{label}: migrations completed in zero time")
-            if point["tables_moved"] > point["migrations"]:
-                raise ValueError(f"{label}: more tables moved than migrations ran")
-        base = str(point["backend"]).split("+", 1)[0]
-        by_pair.setdefault((base, float(point["skew_alpha"])), {})[resharded] = point
-    for (base, skew), pair in by_pair.items():
-        static = pair.get(False)
-        dynamic = pair.get(True)
-        if static is None or dynamic is None:
-            continue
-        if abs(static["imbalance_before"] - dynamic["imbalance_before"]) > 1e-6:
-            raise ValueError(
-                f"({base}, skew={skew}): static and +reshard saw different "
-                f"traffic ({static['imbalance_before']:.6f} vs "
-                f"{dynamic['imbalance_before']:.6f})"
-            )
-
-
-def run_skew_sweep(
-    preset: str = "tiny",
-    *,
-    n_devices: int = 4,
-    backends: Sequence[str] = (
-        "pgas", "pgas+reshard", "baseline", "baseline+reshard",
-    ),
-    skews: Sequence[float] = (0.0, 1.05),
-    n_batches: int = 10,
-    reshard_spec: Optional[ReshardSpec] = None,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-) -> SkewSweepResult:
+def _run(args: Any):
     """Measure every (backend, table skew) grid point.
 
     Every point gets a fresh embedding built through
@@ -270,31 +109,24 @@ def run_skew_sweep(
     and its static twin observe byte-identical traffic and their
     imbalance columns compare the *placement*, nothing else.
     """
-    if not backends or not skews:
-        raise ValueError("every sweep axis needs at least one value")
-    for name in backends:
+    for name in args.backends:
         parse_backend_name(str(name))
-    if n_batches < 1:
-        raise ValueError("need at least one batch per point")
-    base_cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        base_cfg = dataclasses.replace(base_cfg, seed=seed)
-    if scale != 1.0:
-        base_cfg = scaled_config(base_cfg, scale)
-    if reshard_spec is None:
-        # Tuned for short sweeps: plan early and often, keep the default
-        # migration pacing so foreground batches still see the link.
-        reshard_spec = ReshardSpec(
-            window_batches=max(4, n_batches // 2),
-            min_batches=2,
-            check_interval_batches=2,
-            imbalance_threshold=1.1,
-        )
+    n_devices, n_batches = args.n_devices, args.n_batches
+    base_cfg = preset_workload(args.preset, n_devices, seed=args.seed, scale=args.scale)
+    # Tuned for short sweeps: plan early and often, keep the migration
+    # pacing so foreground batches still see the link.
+    reshard_spec = ReshardSpec(
+        window_batches=max(4, n_batches // 2),
+        min_batches=2,
+        check_interval_batches=2,
+        imbalance_threshold=args.threshold,
+        migration_bandwidth_share=args.migration_share,
+    )
 
-    sweep = SkewSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
-    for backend in backends:
+    points = []
+    for backend in args.backends:
         resharded = "+reshard" in backend
-        for skew in skews:
+        for skew in args.skews:
             cfg = base_cfg
             if skew:
                 cfg = dataclasses.replace(cfg, table_skew_alpha=float(skew))
@@ -342,7 +174,7 @@ def run_skew_sweep(
                 return float(c.total) if c is not None else 0.0
 
             report = critical_path_report(emb.cluster.profiler)
-            sweep.points.append(
+            points.append(
                 SkewSweepPoint(
                     backend=str(backend),
                     skew_alpha=float(skew),
@@ -367,4 +199,144 @@ def run_skew_sweep(
                     advisories=counter_total("reshard.advisories"),
                 )
             )
-    return sweep
+    envelope = {"preset": args.preset, "n_devices": n_devices, "n_batches": n_batches}
+    return envelope, points
+
+
+def _static(p: Mapping[str, Any]) -> bool:
+    return "+reshard" not in p["backend"]
+
+
+def _twins_saw_same_traffic(points, data) -> Optional[str]:
+    by_pair: Dict[Any, Dict[bool, Dict[str, Any]]] = {}
+    for point in points:
+        base = str(point["backend"]).split("+", 1)[0]
+        by_pair.setdefault((base, float(point["skew_alpha"])), {})[
+            not _static(point)
+        ] = point
+    for (base, skew), pair in by_pair.items():
+        static = pair.get(False)
+        dynamic = pair.get(True)
+        if static is None or dynamic is None:
+            continue
+        if abs(static["imbalance_before"] - dynamic["imbalance_before"]) > 1e-6:
+            return (
+                f"({base}, skew={skew}): static and +reshard saw different "
+                f"traffic ({static['imbalance_before']:.6f} vs "
+                f"{dynamic['imbalance_before']:.6f})"
+            )
+    return None
+
+
+def _max_over_mean(key: str) -> Invariant:
+    return rule(
+        f"{key}-is-max-over-mean",
+        lambda p, d: math.isfinite(p[key]) and p[key] >= 1.0 - 1e-9,
+        "{label}: " + key + " must be a finite max/mean >= 1",
+    )
+
+
+SPEC = SweepSpec(
+    name="skewsweep",
+    help="online resharding vs static placement sweep + BENCH_reshard.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="tiny",
+            help="workload preset (resolved via preset_runspec)"),
+        Arg("--gpus", type=int, default=4, help="simulated GPU count",
+            dest="n_devices", min=1),
+        Arg("--backends", nargs="+",
+            default=["pgas", "pgas+reshard", "baseline", "baseline+reshard"],
+            help="backends to compare (mix static and +reshard)"),
+        Arg("--skews", type=float, nargs="+", default=[0.0, 1.05],
+            help="table traffic skew exponents (0 = uniform)"),
+        Arg("--batches", type=int, default=10, help="batches per point",
+            dest="n_batches", min=1),
+        Arg("--threshold", type=float, default=1.1,
+            help="planner max/mean imbalance trigger"),
+        Arg("--migration-share", type=float, default=0.25,
+            help="link bandwidth share granted to migration streams"),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = preset size)"),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[skew sweep: {run.preset} preset, {run.n_devices} GPUs, "
+        f"{run.n_batches} batches/point]"
+    ),
+    columns=(
+        ("backend", lambda p: p.backend),
+        ("skew", lambda p: f"{p.skew_alpha:g}"),
+        ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+        ("p99 (ms)", lambda p: f"{to_ms(p.p99_batch_ns):.4f}"),
+        ("comm (ms)", lambda p: f"{to_ms(p.comm_ns):.3f}"),
+        ("cp comm (ms)", lambda p: f"{to_ms(p.critpath_comm_ns):.3f}"),
+        ("imb before", lambda p: f"{p.imbalance_before:.3f}"),
+        ("imb after", lambda p: f"{p.imbalance_after:.3f}"),
+        ("reduction", lambda p: f"{100.0 * p.imbalance_reduction:.1f}%"),
+        ("moved", lambda p: f"{int(p.tables_moved)}"),
+        ("migrated (MB)", lambda p: f"{p.migration_bytes / 1e6:.3f}"),
+    ),
+    coords=("backend", "skew_alpha"),
+    artifact=Artifact(
+        file="BENCH_reshard.json",
+        kind="reshard",
+        keys=("preset", "n_devices", "n_batches"),
+        point_keys=(
+            "backend", "skew_alpha", "n_batches", "total_ns", "p99_batch_ns",
+            "comm_ns", "critpath_comm_ns", "imbalance_before", "imbalance_after",
+            "max_device_bytes_before", "max_device_bytes_after", "plans",
+            "tables_moved", "migrations", "migration_bytes", "migration_ns",
+            "advisories", "imbalance_reduction",
+        ),
+        label="point {i} ({backend}, skew={skew_alpha})",
+    ),
+    point_dict=payload("imbalance_reduction"),
+    invariants=(
+        _max_over_mean("imbalance_before"),
+        _max_over_mean("imbalance_after"),
+        rule("positive-timing",
+             lambda p, d: p["total_ns"] > 0 and p["p99_batch_ns"] > 0,
+             "{label}: degenerate timing"),
+        rule("static-never-migrates",
+             lambda p, d: not _static(p)
+             or not (p["migrations"] or p["migration_bytes"] or p["plans"]),
+             "{label}: static backend moved migration traffic"),
+        rule("static-keeps-ownership",
+             lambda p, d: not _static(p)
+             or p["imbalance_after"] == p["imbalance_before"],
+             "{label}: static backend changed ownership"),
+        rule("reshard-never-worsens",
+             lambda p, d: _static(p)
+             or p["imbalance_after"] <= p["imbalance_before"] + 1e-9,
+             "{label}: resharding worsened imbalance "
+             "({imbalance_before:.4f} -> {imbalance_after:.4f})"),
+        rule("migrations-move-bytes",
+             lambda p, d: _static(p)
+             or (p["migrations"] > 0) == (p["migration_bytes"] > 0),
+             "{label}: migrations and migrated bytes disagree"),
+        rule("migrations-take-time",
+             lambda p, d: _static(p) or p["migrations"] <= 0 or p["migration_ns"] > 0,
+             "{label}: migrations completed in zero time"),
+        rule("moves-bounded-by-migrations",
+             lambda p, d: _static(p) or p["tables_moved"] <= p["migrations"],
+             "{label}: more tables moved than migrations ran"),
+        Invariant("twins-saw-same-traffic", _twins_saw_same_traffic),
+    ),
+)
+
+
+def run_skew_sweep(preset: str = "tiny", **params: Any) -> SweepRun:
+    """Run the skew sweep from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``n_devices``, ``backends``, ``skews``, ``n_batches``, ``threshold``,
+    ``migration_share``, ``scale``, ``seed``.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_skewsweep_json(data: Any) -> None:
+    """Validate a ``BENCH_reshard.json`` payload (raises ``ValueError``)."""
+    SPEC.validate(data)

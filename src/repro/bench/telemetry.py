@@ -4,30 +4,28 @@ Runs the same workload through each backend on a fresh cluster, derives a
 full :class:`~repro.telemetry.RunReport` per backend, and renders the
 paper-facing comparison (overlap fraction, exposed comm, link burstiness,
 unpack share) as one table — the quantitative form of the paper's
-"communication is hidden and smoothed" claims.  ``write_json`` emits the
-machine-readable artifact a CI perf gate can diff across commits.
+"communication is hidden and smoothed" claims.  The artifact is the
+machine-readable form a perf gate can diff across commits.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+import argparse
+from typing import Any, Optional
 
 from ..core.baseline import PhaseTiming
 from ..core.retrieval import DistributedEmbedding
-from ..core.runspec import PRESETS, RunSpec, preset_runspec
-from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from ..core.runspec import PRESETS, RunSpec
+from ..dlrm.data import SyntheticDataGenerator
 from ..simgpu.units import to_ms
-from ..telemetry import RunReport, validate_report
-from .reporting import format_table
-from .runner import scaled_config
-from .validate import check_artifact
+from ..telemetry import validate_report
+from ..telemetry.report import ReportValidationError
+from .spec import Arg, Artifact, Invariant, SweepRun, SweepSpec, preset_workload
 
 __all__ = [
     "METRIC_ROWS",
     "PRESETS",
-    "MetricsComparison",
+    "SPEC",
     "preset_workload",
     "run_metrics",
     "validate_metrics_json",
@@ -47,125 +45,127 @@ METRIC_ROWS = (
 )
 
 
-def preset_workload(preset: str, n_devices: int) -> WorkloadConfig:
-    """Resolve a named preset to a workload for ``n_devices`` GPUs.
-
-    Thin shim over :func:`repro.core.runspec.preset_runspec` — the preset
-    definitions live there so every entry point (run/metrics/faultsweep/
-    servesweep) resolves the same shapes.
-    """
-    return preset_runspec(preset, n_devices).workload
-
-
-@dataclass
-class MetricsComparison:
-    """Per-backend run reports over one shared workload."""
-
-    preset: str
-    workload: WorkloadConfig
-    n_devices: int
-    n_batches: int
-    reports: Dict[str, RunReport] = field(default_factory=dict)
-
-    def metric(self, backend: str, name: str) -> float:
-        """One backend's metric value (NaN when absent)."""
-        return self.reports[backend].metric(name)
-
-    def render(self) -> str:
-        """Side-by-side metric table, one column per backend."""
-        backends = list(self.reports)
-        headers = ["metric"] + backends
-        rows: List[List[str]] = []
-        for name, label, fmt in METRIC_ROWS:
-            row = [label]
-            for be in backends:
-                value = self.metric(be, name)
-                row.append(fmt(value) if value == value else "-")
-            rows.append(row)
-        title = (
-            f"[telemetry: {self.preset} preset, {self.workload.num_tables} tables, "
-            f"batch {self.workload.batch_size}, {self.n_devices} GPUs, "
-            f"{self.n_batches} batch(es)]"
-        )
-        return f"{title}\n{format_table(headers, rows)}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_metrics.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "reports": {be: r.as_dict() for be, r in self.reports.items()},
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
-
-
-def validate_metrics_json(data: Any) -> None:
-    """Validate a ``BENCH_metrics.json`` payload (raises on violation)."""
-    from ..telemetry.report import ReportValidationError
-
-    reports = check_artifact(
-        data,
-        kind="metrics",
-        schema_version=1,
-        required_keys=("schema_version", "preset", "n_devices", "n_batches"),
-        collection="reports",
-        noun="report",
-        error=ReportValidationError,
-        collection_type=dict,
-    )
-    for backend, report in reports.items():
-        try:
-            validate_report(report)
-        except ReportValidationError as exc:
-            raise ReportValidationError(f"report {backend!r}: {exc}") from None
-
-
-def run_metrics(
-    preset: str = "weak",
-    *,
-    n_devices: int = 2,
-    backends: Sequence[str] = ("pgas", "baseline"),
-    n_batches: int = 1,
-    scale: float = 1.0,
-    n_bins: int = 240,
-    include_series: bool = True,
-    seed: Optional[int] = None,
-) -> MetricsComparison:
+def _run(args: Any):
     """Run every backend over the same batches and derive its report.
 
     Each backend gets a fresh cluster (so profiler records don't mix) but
     the identical batch stream; ``scale`` shrinks the batch dimension for
     quick runs (1.0 = paper size).
     """
-    cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
-    spec = RunSpec(workload=cfg, n_devices=n_devices, name=preset)
-
-    comparison = MetricsComparison(
-        preset=preset, workload=cfg, n_devices=n_devices, n_batches=n_batches
-    )
-    for backend in backends:
+    cfg = preset_workload(args.preset, args.n_devices, seed=args.seed, scale=args.scale)
+    spec = RunSpec(workload=cfg, n_devices=args.n_devices, name=args.preset)
+    reports = {}
+    for backend in args.backends:
         emb = DistributedEmbedding.from_spec(spec, backend=backend)
         gen = SyntheticDataGenerator(cfg)
         total = PhaseTiming()
-        for _ in range(n_batches):
+        for _ in range(args.n_batches):
             total.add(emb.forward_timed(gen.lengths_batch()))
-        comparison.reports[backend] = emb.telemetry_report(
+        reports[backend] = emb.telemetry_report(
             timing=total,
             workload=cfg,
-            n_bins=n_bins,
-            include_series=include_series,
-            meta={"preset": preset, "scale": scale, "n_batches": n_batches},
+            n_bins=args.n_bins,
+            include_series=args.include_series,
+            meta={"preset": args.preset, "scale": args.scale,
+                  "n_batches": args.n_batches},
         )
-    return comparison
+    envelope = {"preset": args.preset, "workload": cfg, "reports": reports,
+                "n_devices": args.n_devices, "n_batches": args.n_batches}
+    return envelope, list(reports.values())
+
+
+def _metric_columns(run: SweepRun):
+    def cell(backend: str):
+        def fmt(row) -> str:
+            name, _, format_value = row
+            value = run.reports[backend].metric(name)
+            return format_value(value) if value == value else "-"
+        return fmt
+
+    return [("metric", lambda row: row[1])] + [(be, cell(be)) for be in run.reports]
+
+
+def _reports_valid(reports, data) -> Optional[str]:
+    for backend, report in reports.items():
+        try:
+            validate_report(report)
+        except ReportValidationError as exc:
+            return f"report {backend!r}: {exc}"
+    return None
+
+
+def _pgas_overlaps_more(reports, data) -> Optional[str]:
+    if data["n_devices"] < 2 or "pgas" not in reports or "baseline" not in reports:
+        return None  # one GPU has nothing to overlap: both read 0.0
+    pgas, baseline = (
+        reports[be]["metrics"]["overlap_fraction"]["value"] for be in ("pgas", "baseline")
+    )
+    if pgas > baseline:
+        return None
+    return (f"pgas overlap_fraction {pgas} must exceed the baseline's "
+            f"{baseline} on {data['n_devices']} GPUs")
+
+
+SPEC = SweepSpec(
+    name="metrics",
+    help="pgas-vs-baseline telemetry metrics + BENCH_metrics.json",
+    args=(
+        Arg("--preset", choices=PRESETS, default="weak",
+            help="workload preset (weak = paper §IV-A per-GPU rule)"),
+        Arg("--gpus", type=int, default=2, help="simulated GPU count",
+            dest="n_devices", min=1),
+        Arg("--batches", type=int, default=1, help="batches per backend",
+            dest="n_batches", min=1),
+        Arg("--scale", type=float, default=1.0,
+            help="batch-size scale factor (1.0 = paper size)"),
+        Arg("--backends", nargs="+", default=["pgas", "baseline"],
+            help="backends to compare"),
+        Arg("--bins", type=int, default=240,
+            help="sample-grid resolution for the derived gauges", dest="n_bins", min=1),
+        Arg("--series", action=argparse.BooleanOptionalAction, default=True,
+            help="include per-bin gauge series in the artifact", dest="include_series"),
+        Arg("--seed", type=int, default=None,
+            help="workload seed override (default: preset's)"),
+    ),
+    run=_run,
+    title=lambda run: (
+        f"[telemetry: {run.preset} preset, {run.workload.num_tables} tables, "
+        f"batch {run.workload.batch_size}, {run.n_devices} GPUs, "
+        f"{run.n_batches} batch(es)]"
+    ),
+    columns=_metric_columns,
+    rows=lambda run: METRIC_ROWS,
+    coords=("backend",),
+    artifact=Artifact(
+        file="BENCH_metrics.json",
+        kind="metrics",
+        keys=("preset", "n_devices", "n_batches"),
+        collection="reports",
+        collection_type=dict,
+        noun="report",
+        summary="backend reports",
+        error=ReportValidationError,
+    ),
+    point_dict=lambda report: report.as_dict(),
+    collect=lambda reports: {report["backend"]: report for report in reports},
+    invariants=(
+        Invariant("reports-valid", _reports_valid),
+        Invariant("pgas-overlaps-more", _pgas_overlaps_more),
+    ),
+)
+
+
+def run_metrics(preset: str = "weak", **params: Any) -> SweepRun:
+    """Run the telemetry comparison from library keywords.
+
+    ``params`` are :data:`SPEC`'s argument names with the CLI defaults:
+    ``n_devices``, ``n_batches``, ``scale``, ``backends``, ``n_bins``,
+    ``include_series``, ``seed``.  ``run.reports`` maps each backend to
+    its :class:`~repro.telemetry.RunReport`.
+    """
+    return SPEC.sweep(preset=preset, **params)
+
+
+def validate_metrics_json(data: Any) -> None:
+    """Validate a ``BENCH_metrics.json`` payload (raises ``ReportValidationError``)."""
+    SPEC.validate(data)

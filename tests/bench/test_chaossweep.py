@@ -6,15 +6,12 @@ import json
 
 import pytest
 
-from repro.bench.chaossweep import (
-    ChaosSweepResult,
-    run_chaos_sweep,
-    validate_chaossweep_json,
-)
+from repro.bench.chaossweep import run_chaos_sweep, validate_chaossweep_json
+from repro.bench.spec import SweepRun
 
 
 @pytest.fixture(scope="module")
-def sweep() -> ChaosSweepResult:
+def sweep() -> SweepRun:
     return run_chaos_sweep("tiny", n_devices=4, n_batches=3, bases=("pgas",))
 
 
@@ -75,6 +72,18 @@ class TestValidator:
             if p["k"] == 2 and p["n_failures"] == 1:
                 p["availability"] = 0.1
         with pytest.raises(ValueError, match="below k=1"):
+            validate_chaossweep_json(data)
+
+    def test_rejects_unmasked_single_failure(self, sweep):
+        # k=2 availability still >= k=1's, but one replica left lookups
+        # unserved after a single failure.
+        data = self.payload(sweep)
+        k1 = next(p for p in data["points"] if p["k"] == 1 and p["n_failures"] == 1)
+        assert k1["availability"] < 0.999
+        for p in data["points"]:
+            if p["k"] == 2 and p["n_failures"] == 1:
+                p["availability"] = 0.999
+        with pytest.raises(ValueError, match="fully mask a single failure"):
             validate_chaossweep_json(data)
 
     def test_rejects_imperfect_healthy_run(self, sweep):

@@ -6,17 +6,13 @@ import json
 
 import pytest
 
-from repro.bench.telemetry import (
-    MetricsComparison,
-    preset_workload,
-    run_metrics,
-    validate_metrics_json,
-)
+from repro.bench.spec import SweepRun
+from repro.bench.telemetry import preset_workload, run_metrics, validate_metrics_json
 from repro.telemetry.report import ReportValidationError
 
 
 @pytest.fixture(scope="module")
-def comparison() -> MetricsComparison:
+def comparison() -> SweepRun:
     return run_metrics("tiny", n_devices=2, include_series=False)
 
 
@@ -48,9 +44,10 @@ class TestRunMetrics:
 
     def test_acceptance_invariant_on_tiny(self, comparison):
         # pgas must hide more comm than the synchronous baseline
-        assert comparison.metric("pgas", "overlap_fraction") > comparison.metric(
-            "baseline", "overlap_fraction"
-        )
+        reports = comparison.reports
+        assert reports["pgas"].metric("overlap_fraction") > reports[
+            "baseline"
+        ].metric("overlap_fraction")
 
     def test_render_table(self, comparison):
         text = comparison.render()
@@ -64,7 +61,9 @@ class TestRunMetrics:
         # seed-dependent pooling lengths
         a = run_metrics("tiny", backends=("pgas",), include_series=False, seed=1)
         b = run_metrics("tiny", backends=("pgas",), include_series=False, seed=2)
-        assert a.metric("pgas", "run_wall_ns") != b.metric("pgas", "run_wall_ns")
+        assert a.reports["pgas"].metric("run_wall_ns") != b.reports["pgas"].metric(
+            "run_wall_ns"
+        )
 
 
 class TestArtifact:
@@ -95,3 +94,18 @@ class TestArtifact:
         bad["reports"]["pgas"].pop("metrics")
         with pytest.raises(ReportValidationError, match="pgas"):
             validate_metrics_json(bad)
+
+    def test_rejects_pgas_not_overlapping_more(self, comparison):
+        bad = json.loads(json.dumps(comparison.as_dict()))
+        overlap = {be: r["metrics"]["overlap_fraction"] for be, r in bad["reports"].items()}
+        overlap["pgas"]["value"] = overlap["baseline"]["value"]
+        with pytest.raises(ReportValidationError, match="overlap_fraction"):
+            validate_metrics_json(bad)
+
+    def test_single_gpu_needs_no_overlap_gap(self):
+        # On one GPU there is no comm to hide: both backends read 0.0.
+        single = run_metrics("tiny", n_devices=1, include_series=False)
+        data = json.loads(json.dumps(single.as_dict()))
+        values = {r["metrics"]["overlap_fraction"]["value"] for r in data["reports"].values()}
+        assert values == {0.0}
+        validate_metrics_json(data)
