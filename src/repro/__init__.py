@@ -72,12 +72,12 @@ from .core import (
     preset_runspec,
 )
 
-# Importing repro.cache registers the "+cache" backends; keep it after core.
+# The feature packages, each a FeatureLayer (or, for hier, an engine option)
+# over the core adapters; the "<base>+<feature>" names are registered once
+# they are all importable (the end of this block).
 from . import cache
 from .cache import CacheConfig, CachedRetrieval
 
-# Importing repro.faults registers the "+resilient" backends; keep it after
-# core and cache (the fallback path reuses the hot-row cache).
 from . import faults
 from .faults import (
     FaultEvent,
@@ -87,23 +87,22 @@ from .faults import (
     ResilientRetrieval,
 )
 
-# Importing repro.compress registers the "+compress" backends; keep it after core.
 from . import compress
 from .compress import CompressedRetrieval, CompressionSpec
 
-# Importing repro.replication registers the "+replicated" backends; keep it
-# after core and faults (failover keys off the device_down fault kind).
 from . import replication
 from .replication import ReplicatedRetrieval, ReplicationSpec
 
-# Importing repro.reshard registers the "+reshard" backends; keep it after
-# core and replication (migration streaming reuses the paced-transfer idiom).
 from . import reshard
 from .reshard import ReshardRetrieval, ReshardSpec
 
-# Importing repro.hier registers the "+hier" backends; keep it after core.
 from . import hier
-from .hier import HierRetrieval, HierSpec
+from .hier import HierSpec
+
+from .core.factory import register_feature_backends
+
+register_feature_backends()
+
 from .dlrm import (
     DLRM,
     DLRMConfig,
@@ -145,7 +144,6 @@ __all__ = [
     "FaultPlan",
     "FeatureSpec",
     "ForwardResult",
-    "HierRetrieval",
     "HierSpec",
     "JaggedField",
     "MetricsRegistry",

@@ -17,15 +17,18 @@ bit-identical to the uncached backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.sharding import minibatch_bounds
+from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import EmbeddingTableConfig
+from ..dlrm.hashing import hash_indices
 from ..simgpu.device import Device
 from .policy import CacheKey, CachePolicy, make_policy
 
-__all__ = ["CacheConfig", "CacheStats", "CacheAccess", "HotRowCache"]
+__all__ = ["CacheConfig", "CacheStats", "CacheAccess", "HotRowCache", "remote_lookups"]
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,22 @@ class HotRowCache:
             if materialize:
                 self._store = self._buffer.array()
 
+    @classmethod
+    def per_device(
+        cls, cluster, plan, config: CacheConfig, *, materialize: bool = False
+    ) -> List["HotRowCache"]:
+        """One cache per device of ``cluster``, each over the tables of
+        sharding ``plan`` that device does not own."""
+        return [
+            cls(
+                dev,
+                [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
+                config,
+                materialize=materialize,
+            )
+            for dev in cluster.devices
+        ]
+
     # -- queries -----------------------------------------------------------------
 
     @property
@@ -326,3 +345,24 @@ class HotRowCache:
             f"<HotRowCache dev={self.device.id} {self.policy.name} "
             f"{self.resident_rows}/{self.capacity_rows} rows d={self.dim}>"
         )
+
+
+def remote_lookups(
+    plan, batches: Iterable[SparseBatch]
+) -> Iterator[Tuple[int, EmbeddingTableConfig, np.ndarray]]:
+    """``(device, table, hashed rows)`` for every non-empty remote lookup
+    of ``batches`` under sharding ``plan``: each device's mini-batch slice
+    of each table it does not own, in batch, table, device order (the
+    order a cache warmed from them sees the rows)."""
+    G = plan.n_devices
+    for batch in batches:
+        bounds = minibatch_bounds(batch.batch_size, G)
+        for t in plan.table_configs:
+            owner = plan.owner_of(t.name)
+            fld = batch.field(t.name)
+            for g in range(G):
+                if g == owner:
+                    continue
+                sl = fld.slice_samples(*bounds[g])
+                if sl.nnz:
+                    yield g, t, hash_indices(sl.indices, t.num_rows, t.hash_kind)

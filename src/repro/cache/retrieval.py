@@ -44,18 +44,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
+from ..core.baseline import PhaseTiming
 from ..core.calibration import EMB_SAMPLES_PER_BLOCK
 from ..core.functional import ShardedEmbeddingTables
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.retrieval import FeatureLayer
 from ..core.sharding import TableWiseSharding, minibatch_bounds, sample_owner
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import segment_pool
 from ..dlrm.hashing import hash_indices
 from ..simgpu.cluster import Cluster
-from .hotrow import CacheConfig, CacheStats, HotRowCache
+from .hotrow import CacheConfig, CacheStats, HotRowCache, remote_lookups
 
 __all__ = ["CacheBatchPlan", "CachedRetrieval", "HIT_COUNTER", "MISS_COUNTER", "EVICT_COUNTER"]
 
@@ -110,14 +109,13 @@ class CacheBatchPlan:
         return self.hits / total if total else 0.0
 
 
-class CachedRetrieval(RetrievalBackend):
+class CachedRetrieval(FeatureLayer):
     """A base retrieval backend fronted by per-device hot-row caches.
 
     Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+cache"``, ``"baseline+cache"``) it is built from a
-    :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``cache`` config.  All tables must share one ``(dim, dtype)`` (one
-    cache slab per device).
+    backend (``"pgas+cache"``, ``"baseline+cache"``) it is built from an
+    EMB host and its ``features.cache`` config.  All tables must share one
+    ``(dim, dtype)`` (one cache slab per device).
     """
 
     requires_indices = True
@@ -133,39 +131,18 @@ class CachedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        elif base == "baseline":
-            self.base = BaselineRetrieval(cluster, collective_spec)
-        else:
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
+        super().__init__(
+            cluster, plan, base=base, collective_spec=collective_spec,
+            pgas_spec=pgas_spec, sharded=sharded,
+        )
         row_bytes = {t.row_bytes for t in plan.table_configs}
         if len(row_bytes) != 1:
             raise ValueError("cached retrieval needs tables sharing one (dim, dtype)")
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
         self.config = config or CacheConfig()
-        self.sharded = sharded
         self._row_bytes = row_bytes.pop()
-        self._tables = {}
-        if sharded is not None:
-            for tables in sharded.per_device:
-                for t in tables:
-                    self._tables[t.name] = t
-        self.caches: List[HotRowCache] = [
-            HotRowCache(
-                dev,
-                [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
-                self.config,
-                materialize=sharded is not None,
-            )
-            for dev in cluster.devices
-        ]
+        self.caches: List[HotRowCache] = HotRowCache.per_device(
+            cluster, plan, self.config, materialize=sharded is not None
+        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -175,10 +152,6 @@ class CachedRetrieval(RetrievalBackend):
         for cache in self.caches:
             total.add(cache.stats)
         return total
-
-    def _weights_of(self, table_name: str) -> Optional[np.ndarray]:
-        table = self._tables.get(table_name)
-        return table.weights if table is not None else None
 
     # -- the per-batch cache pass -------------------------------------------------
 
@@ -213,7 +186,7 @@ class CachedRetrieval(RetrievalBackend):
             adj = lengths.astype(np.int64).copy()
             snt = np.ones(B, dtype=bool)
             hps = np.zeros(B, dtype=np.int64)
-            source = self._weights_of(t.name) if materialized else None
+            source = self.weights_of(t.name) if materialized else None
             for g in range(G):
                 if g == owner:
                     continue
@@ -326,7 +299,7 @@ class CachedRetrieval(RetrievalBackend):
 
     def run_plan(self, cplan: CacheBatchPlan) -> PhaseTiming:
         """Simulate an already-planned batch and stamp the cache counters."""
-        timing = self.base.run_batch(cplan.workloads)
+        timing = self.inner.run_timed(cplan.workloads)
         self._stamp_counters(cplan)
         return timing
 
@@ -351,7 +324,7 @@ class CachedRetrieval(RetrievalBackend):
     def _planned_process(
         self, cluster: Cluster, cplan: CacheBatchPlan, timing: PhaseTiming, stream_suffix: str
     ):
-        yield from self.base.batch_process(
+        yield from self.inner.batch_process(
             cluster, cplan.workloads, timing, stream_suffix=stream_suffix
         )
         self._stamp_counters(cplan)
@@ -424,30 +397,17 @@ class CachedRetrieval(RetrievalBackend):
         This is how the ``static-topk`` policy gets its working set (lru /
         lfu caches accept warming too).  Returns per-device seeded counts.
         """
-        plan = self.table_plan
-        G = plan.n_devices
+        G = self.table_plan.n_devices
         freq: List[Dict[Tuple[str, int], int]] = [dict() for _ in range(G)]
-        for batch in batches:
-            bounds = minibatch_bounds(batch.batch_size, G)
-            for t in plan.table_configs:
-                owner = plan.owner_of(t.name)
-                fld = batch.field(t.name)
-                for g in range(G):
-                    if g == owner:
-                        continue
-                    lo, hi = bounds[g]
-                    sl = fld.slice_samples(lo, hi)
-                    if not sl.nnz:
-                        continue
-                    rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
-                    vals, counts = np.unique(rows, return_counts=True)
-                    table_freq = freq[g]
-                    for r, c in zip(vals.tolist(), counts.tolist()):
-                        key = (t.name, r)
-                        table_freq[key] = table_freq.get(key, 0) + c
+        for g, t, rows in remote_lookups(self.table_plan, batches):
+            vals, counts = np.unique(rows, return_counts=True)
+            table_freq = freq[g]
+            for r, c in zip(vals.tolist(), counts.tolist()):
+                key = (t.name, r)
+                table_freq[key] = table_freq.get(key, 0) + c
         source_of: Optional[Callable[[str], np.ndarray]] = None
         if self.sharded is not None:
-            source_of = lambda name: self._tables[name].weights  # noqa: E731
+            source_of = self.weights_of
         seeded = []
         for g in range(G):
             ranked = sorted(freq[g].items(), key=lambda kv: (-kv[1], kv[0]))

@@ -20,8 +20,9 @@ on **both** comm paths:
   encode pass is fused into the EMB kernel, and the decode pass is
   charged on the destination device.
 
-Importing this package registers the ``"pgas+compress"`` and
-``"baseline+compress"`` backends with the core registry, so
+The ``repro`` package registers the ``"pgas+compress"`` and
+``"baseline+compress"`` backends (one feature-table entry in
+:mod:`repro.core.factory`), so
 
 >>> emb = DistributedEmbedding(cfg, n_devices=2, backend="pgas+compress",
 ...                            features=FeatureSpec(compression=CompressionSpec(codec="int8")))
@@ -32,8 +33,6 @@ you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .codec import (
     CODEC_NAMES,
     Codec,
@@ -77,41 +76,7 @@ __all__ = [
     "SQ_ERROR_COUNTER",
     "WIRE_COUNTER",
     "compress_cost_model",
-    "compressed_retrieval_for",
     "make_codec",
     "roundtrip_error_report",
 ]
 
-
-def compressed_retrieval_for(emb, base: str) -> CompressedRetrieval:
-    """Build a :class:`CompressedRetrieval` bound to an EMB host
-    (see :func:`~repro.core.factory.build_adapter`; the registry
-    factories' shared implementation)."""
-    spec = emb.features.compression
-    if spec is not None and not isinstance(spec, CompressionSpec):
-        raise TypeError(
-            f"features.compression must be a CompressionSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return CompressedRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or CompressionSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+compress",
-    lambda emb: build_adapter(emb, "pgas+compress"),
-    description="PGAS retrieval with quantized one-sided writes (fp32/fp16/int8/int4 row codecs)",
-)
-register_backend(
-    "baseline+compress",
-    lambda emb: build_adapter(emb, "baseline+compress"),
-    description="collective retrieval with quantized all-to-all payloads and a destination-side decode pass",
-)

@@ -43,10 +43,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.pgas import PGASSpec
-from ..core.baseline import BaselineRetrieval, PhaseTiming
+from ..core.baseline import PhaseTiming
 from ..core.functional import ShardedEmbeddingTables
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.retrieval import FeatureLayer
 from ..core.sharding import TableWiseSharding, minibatch_bounds
 from ..core.workload import DeviceWorkload, unpack_bytes_received
 from ..dlrm.batch import SparseBatch
@@ -123,18 +122,16 @@ class _EncodeChargedWorkload(DeviceWorkload):
         return DeviceWorkload.bytes_written.fget(self) + self.codec_write_bytes
 
 
-class CompressedRetrieval(RetrievalBackend):
+class CompressedRetrieval(FeatureLayer):
     """A base retrieval backend with codec-compressed remote transfers.
 
     Standalone use takes a cluster plus sharding plan; as a registered
     backend (``"pgas+compress"``, ``"baseline+compress"``) it is built
-    from a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``compression`` config.  Lossy codecs require all tables to share one
-    float32 ``dim`` (one wire-row shape per cluster); the ``fp32``
-    passthrough accepts anything the base backend does.
+    from an EMB host and its ``features.compression`` config.  Lossy
+    codecs require all tables to share one float32 ``dim`` (one wire-row
+    shape per cluster); the ``fp32`` passthrough accepts anything the base
+    backend does.
     """
-
-    requires_indices = False
 
     def __init__(
         self,
@@ -147,21 +144,10 @@ class CompressedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
         self.spec = spec or CompressionSpec()
         self.codec: Codec = self.spec.codec_obj()
         self.passthrough = self.spec.codec == "fp32"
-        self.sharded = sharded
         self._row_wire_bytes: Optional[int] = None
-        eff_pgas_spec = pgas_spec
         if not self.passthrough:
             dims = {t.dim for t in plan.table_configs}
             dtypes = {np.dtype(t.dtype) for t in plan.table_configs}
@@ -175,13 +161,13 @@ class CompressedRetrieval(RetrievalBackend):
                 # One compressed vector per one-sided message: the per-row
                 # scale rides in the same message and every vector still
                 # pays exactly one wire header.
-                eff_pgas_spec = dataclasses.replace(
+                pgas_spec = dataclasses.replace(
                     pgas_spec or PGASSpec(), message_bytes=self._row_wire_bytes
                 )
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, eff_pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
+        super().__init__(
+            cluster, plan, base=base, collective_spec=collective_spec,
+            pgas_spec=pgas_spec, sharded=sharded,
+        )
         #: lifetime error accumulation across functional batches
         self.errors = CompressionErrorStats()
         #: error stats of the most recent functional batch (None before one)
@@ -243,7 +229,7 @@ class CompressedRetrieval(RetrievalBackend):
         backend's per-batch stream set.  The fp32 passthrough is the bare
         base backend's events, spans, counters and timing."""
         if self.passthrough:
-            yield from self.base.batch_process(
+            yield from self.inner.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
             )
             return
@@ -258,7 +244,7 @@ class CompressedRetrieval(RetrievalBackend):
 
         # Base pass over the shrunk workloads: the EMB kernels carry the
         # fused encode traffic, the wire moves codec bytes.
-        yield from self.base.batch_process(
+        yield from self.inner.batch_process(
             cluster, scaled, timing, stream_suffix=stream_suffix
         )
 
@@ -326,18 +312,10 @@ class CompressedRetrieval(RetrievalBackend):
         :attr:`last_batch_errors` and are stamped as ``compress.*``
         counters; a configured ``error_bound`` is enforced here.
         """
+        if self.passthrough:
+            return self.inner.functional_forward(batch)
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
-        if self.passthrough:
-            from ..core.functional import (
-                baseline_functional_forward,
-                pgas_functional_forward,
-            )
-
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
 
         plan = self.table_plan
         G = plan.n_devices

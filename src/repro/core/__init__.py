@@ -44,7 +44,9 @@ from .retrieval import (
     BackendInfo,
     BackendName,
     BackendSpec,
+    BaseAdapter,
     DistributedEmbedding,
+    FeatureLayer,
     ForwardResult,
     RetrievalBackend,
     available_backends,
@@ -103,9 +105,11 @@ __all__ = [
     "reference_backward",
     "table_row_gradients",
     "DeviceWorkload",
+    "BaseAdapter",
     "DistributedEmbedding",
     "EMB_MIN_WAVES_FOR_PEAK",
     "EMB_SAMPLES_PER_BLOCK",
+    "FeatureLayer",
     "ForwardResult",
     "NCCL_ALLTOALL_EFFICIENCY",
     "DLRMInferencePipeline",

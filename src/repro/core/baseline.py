@@ -51,6 +51,11 @@ class PhaseTiming:
     sync_unpack_ns: float = 0.0
     total_ns: float = 0.0
     batches: int = 0
+    #: what a feature layer did to this batch (the resilient layer's
+    #: :class:`~repro.faults.BatchOutcome`); travels with the batch so
+    #: concurrent batches never read each other's.  Not a phase: ``add``
+    #: and ``as_dict`` ignore it.
+    outcome: Optional[object] = field(default=None, compare=False, repr=False)
 
     def add(self, other: "PhaseTiming") -> None:
         """Accumulate another batch's phases (the 100-batch loop)."""

@@ -1,27 +1,30 @@
-"""Unified backend factory: one canonical way to compose feature stacks.
+"""The backend factory: the one place a backend name becomes an adapter.
 
-Historically every call site composed its own wrapper stack: ``cli.py``
-picked constructor kwargs by hand, each ``bench/*sweep`` built its
-``DistributedEmbedding`` with the one feature kwarg it cared about, and
-the registry entries in each feature package duplicated the
-``<feature>_retrieval_for(emb, base)`` plumbing.  This module is the
-single place that knows how a backend name decomposes and how the
-feature wrappers attach:
+A backend name is ``<base>`` or ``<base>+<feature>``.  The base is a
+communication strategy — ``"pgas"`` or ``"baseline"`` — run by a
+:class:`~repro.core.retrieval.BaseAdapter`; a feature is either an
+*engine option* of that adapter (``"+hier"``: the engines built with a
+:class:`~repro.comm.hier.HierSpec`) or a
+:class:`~repro.core.retrieval.FeatureLayer` over it (cache, compress,
+resilient, replicated, reshard).  This module holds:
 
 * :class:`FeatureSpec` — the one bag of per-feature configs
   (cache / resilience / compression / replication / reshard / hier /
-  obs) that
-  :class:`~repro.core.retrieval.DistributedEmbedding` now takes as its
-  ``features=`` keyword;
+  obs) that every EMB entry point takes as its ``features=`` keyword;
+* the feature table — per suffix, its ``FeatureSpec`` field and config
+  type, its layer class (none for an engine option) and the registry
+  description of each ``<base>+<feature>`` name;
 * :func:`parse_backend_name` — splits ``"<base>+<feature>"`` names and
   rejects malformed stacks (empty segments, unknown features, duplicate
   features, multi-feature stacks) with errors that name the offending
   stack;
-* :func:`build_adapter` — builds the adapter for any registered backend
-  name from the parsed form; the per-package registry entries are thin
-  aliases over this function, and every entry point that runs an EMB
-  stage (``DistributedEmbedding``, the inference pipeline and through it
-  the server and the training step) gets its adapter here;
+* :func:`build_adapter` — the only code that type-checks a
+  ``features.<field>`` config and builds a feature's adapter; every
+  entry point that runs an EMB stage (``DistributedEmbedding``, the
+  inference pipeline and through it the server and the training step)
+  gets its adapter here;
+* :func:`register_feature_backends` — one loop over the feature table
+  that registers every ``<base>+<feature>`` name;
 * :func:`default_cluster` — the cluster an entry point builds when it is
   given none (a multi-node one for a configured ``"+hier"`` backend);
 * :func:`build_backend` — the top-level entry: a fully-composed
@@ -29,14 +32,15 @@ feature wrappers attach:
   :class:`~repro.core.runspec.RunSpec` alone, adapter pre-built so
   composition errors surface at construction, not first forward.
 
-``CANONICAL_FEATURE_ORDER`` fixes the composition order feature wrappers
-take when a composed backend is ever registered: innermost first.  The
-registry still refuses unregistered multi-feature stacks — the order
-constant makes the refusal principled instead of arbitrary.
+``CANONICAL_FEATURE_ORDER`` fixes the order features would compose in,
+innermost first.  Multi-feature stacks are still refused: none is run by
+any workload, and each legal stack is one more configuration the tests
+and the benchmark would have to cover.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
@@ -48,9 +52,10 @@ __all__ = [
     "build_backend",
     "default_cluster",
     "parse_backend_name",
+    "register_feature_backends",
 ]
 
-#: Composition order for feature wrappers, innermost (closest to the base
+#: Composition order for features, innermost (closest to the base
 #: communication strategy) first.  Single-feature stacks are unaffected;
 #: any explicitly registered composed backend must wrap in this order.
 CANONICAL_FEATURE_ORDER: Tuple[str, ...] = (
@@ -62,17 +67,85 @@ CANONICAL_FEATURE_ORDER: Tuple[str, ...] = (
     "reshard",
 )
 
-#: feature suffix → (defining module, adapter-builder function).  The
-#: module import is deferred to adapter build time so ``repro.core`` never
-#: imports the feature packages (they import *it* to register themselves).
-_FEATURE_BUILDERS: Dict[str, Tuple[str, str]] = {
-    "hier": ("repro.hier", "hier_retrieval_for"),
-    "cache": ("repro.cache", "cached_retrieval_for"),
-    "compress": ("repro.compress", "compressed_retrieval_for"),
-    "resilient": ("repro.faults", "resilient_retrieval_for"),
-    "replicated": ("repro.replication", "replicated_retrieval_for"),
-    "reshard": ("repro.reshard", "reshard_retrieval_for"),
+
+@dataclass(frozen=True)
+class _Feature:
+    """One ``+<feature>`` suffix: where its config lives, what builds it,
+    and the registry description of each ``<base>+<feature>`` name."""
+
+    field: str  #: the FeatureSpec field holding its config
+    config: str  #: ``module:Class`` of that config
+    layer: Optional[str]  #: ``module:Class`` of its FeatureLayer; None = engine option
+    descriptions: Tuple[Tuple[str, str], ...]  #: (base, description) pairs
+
+
+#: Every feature suffix.  Modules are imported when an adapter is built
+#: (or the names registered), so ``repro.core`` never imports the feature
+#: packages at import time (they import *it*).
+_FEATURES: Dict[str, _Feature] = {
+    "hier": _Feature(
+        "hier", "repro.comm.hier:HierSpec", None,
+        (
+            ("pgas", "PGAS retrieval with node-leader staging: off-node writes cross "
+                     "the NIC as one aggregated stream per node pair"),
+            ("baseline", "collective retrieval with a two-level all-to-all: NVLink "
+                         "gather/scatter around one coalesced NIC transfer per node pair"),
+        ),
+    ),
+    "cache": _Feature(
+        "cache", "repro.cache.hotrow:CacheConfig", "repro.cache.retrieval:CachedRetrieval",
+        (
+            ("pgas", "PGAS retrieval with the hot-row cache short-circuiting remote reads"),
+            ("baseline", "collective retrieval with the hot-row cache shrinking the "
+                         "all-to-all"),
+        ),
+    ),
+    "compress": _Feature(
+        "compression", "repro.compress.spec:CompressionSpec",
+        "repro.compress.retrieval:CompressedRetrieval",
+        (
+            ("pgas", "PGAS retrieval with quantized one-sided writes "
+                     "(fp32/fp16/int8/int4 row codecs)"),
+            ("baseline", "collective retrieval with quantized all-to-all payloads and a "
+                         "destination-side decode pass"),
+        ),
+    ),
+    "resilient": _Feature(
+        "resilience", "repro.faults.resilient:ResilienceSpec",
+        "repro.faults.resilient:ResilientRetrieval",
+        (
+            ("pgas", "PGAS retrieval under the retry/reroute/degrade fault wrapper"),
+            ("baseline", "collective retrieval under the retry/reroute/degrade fault "
+                         "wrapper"),
+        ),
+    ),
+    "replicated": _Feature(
+        "replication", "repro.replication.spec:ReplicationSpec",
+        "repro.replication.retrieval:ReplicatedRetrieval",
+        (
+            ("pgas", "PGAS retrieval with k-way shard replicas, heartbeat failover, "
+                     "and online re-replication"),
+            ("baseline", "collective retrieval with k-way shard replicas, heartbeat "
+                         "failover, and online re-replication"),
+        ),
+    ),
+    "reshard": _Feature(
+        "reshard", "repro.reshard.spec:ReshardSpec", "repro.reshard.retrieval:ReshardRetrieval",
+        (
+            ("pgas", "PGAS retrieval with skew-aware online table migration and "
+                     "serve-from-old-owner cutover"),
+            ("baseline", "collective retrieval with skew-aware online table migration "
+                         "and serve-from-old-owner cutover"),
+        ),
+    ),
 }
+
+
+def _resolve(path: str):
+    """The object a ``module:Name`` path names."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(module), name)
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -147,7 +220,7 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
             f"(expected '<base>' or '<base>+<feature>')"
         )
     base, features = parts[0], tuple(parts[1:])
-    unknown = [f for f in features if f not in _FEATURE_BUILDERS]
+    unknown = [f for f in features if f not in _FEATURES]
     if unknown:
         raise ValueError(
             f"malformed backend stack {name!r}: unknown feature(s) "
@@ -171,13 +244,29 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
     return base, features
 
 
+def _feature_config(emb, feature: str):
+    """``emb.features.<field>`` for one feature, type-checked (None if unset)."""
+    entry = _FEATURES[feature]
+    config = getattr(emb.features, entry.field)
+    config_type = _resolve(entry.config)
+    if config is not None and not isinstance(config, config_type):
+        raise TypeError(
+            f"features.{entry.field} must be a {config_type.__name__}, "
+            f"got {type(config).__name__}"
+        )
+    return config
+
+
 def build_adapter(emb, name: str):
     """Build the retrieval adapter for backend ``name`` bound to ``emb``.
 
-    The shared implementation behind every registered feature backend:
-    registry entries are thin ``lambda emb: build_adapter(emb, name)``
-    aliases, so composition lives in exactly one place.  Bare base names
-    fall through to the registry's own factories.
+    The one construction path behind every registered name.  A bare base
+    name is the registry's own factory; ``"<base>+hier"`` is the
+    :class:`~repro.core.retrieval.BaseAdapter` built with the configured
+    :class:`~repro.comm.hier.HierSpec` (flat ``devices_per_node=1`` when
+    none is set); any other feature is its
+    :class:`~repro.core.retrieval.FeatureLayer` over that base, built from
+    its type-checked ``features.<field>`` config.
 
     ``emb`` is any EMB host exposing ``cluster``, ``plan``, ``features``,
     ``collective_spec``, ``pgas_spec``, ``sharded`` (None when timing
@@ -188,9 +277,49 @@ def build_adapter(emb, name: str):
         from .retrieval import backend_spec
 
         return backend_spec(base).factory(emb)
-    module_name, builder_name = _FEATURE_BUILDERS[features[0]]
-    builder = getattr(importlib.import_module(module_name), builder_name)
-    return builder(emb, base)
+    feature = features[0]
+    config = _feature_config(emb, feature)
+    layer_path = _FEATURES[feature].layer
+    if layer_path is None:
+        from ..comm.hier import HierSpec
+        from .retrieval import BaseAdapter
+
+        return BaseAdapter.for_host(
+            emb, base, hier_spec=config or HierSpec(devices_per_node=1)
+        )
+    layer = _resolve(layer_path)
+    return layer(
+        emb.cluster,
+        emb.plan,
+        config,
+        base=base,
+        collective_spec=emb.collective_spec,
+        pgas_spec=emb.pgas_spec,
+        sharded=emb.sharded,
+        **{attr: getattr(emb, attr) for attr in layer.host_attrs},
+    )
+
+
+def register_feature_backends() -> None:
+    """Register every ``<base>+<feature>`` name with the backend registry.
+
+    One entry per (feature, base) of the feature table, each building its
+    adapter through :func:`build_adapter`; ``requires_indices`` comes from
+    the feature's layer class (an engine option needs none).  ``repro``
+    calls this once, after importing every feature package.
+    """
+    from .retrieval import register_backend
+
+    for feature, entry in _FEATURES.items():
+        layer = _resolve(entry.layer) if entry.layer is not None else None
+        for base, description in entry.descriptions:
+            name = f"{base}+{feature}"
+            register_backend(
+                name,
+                functools.partial(build_adapter, name=name),
+                requires_indices=layer is not None and layer.requires_indices,
+                description=description,
+            )
 
 
 def default_cluster(n_devices: int, backend: str, features: FeatureSpec):

@@ -27,7 +27,7 @@ reference collection's weight arrays, so no extra memory and exact parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,26 @@ class ShardedEmbeddingTables:
     def dtype(self) -> np.dtype:
         """Shared weight dtype."""
         return self.plan.table_configs[0].dtype
+
+    def tables_by_name(self) -> Dict[str, EmbeddingTable]:
+        """Every shard's tables, keyed by table name."""
+        return {t.name: t for tables in self.per_device for t in tables}
+
+    def reassigned(self, owners: Mapping[str, int]) -> "ShardedEmbeddingTables":
+        """The same tables under a new table → device map.
+
+        Weights are aliased, not copied, so a forward over the result is
+        bit-identical to one over ``self`` — only who serves each table
+        changes (failover, migration cutover).
+        """
+        plan = TableWiseSharding.from_assignment(
+            self.plan.table_configs, self.plan.n_devices, owners
+        )
+        tables = self.tables_by_name()
+        return ShardedEmbeddingTables(
+            plan,
+            [[tables[cfg.name] for cfg in plan.tables_on(d)] for d in range(plan.n_devices)],
+        )
 
     def local_forward(self, device_id: int, batch: SparseBatch) -> np.ndarray:
         """Model-parallel step: full batch over this device's tables.

@@ -14,42 +14,56 @@ backend name, then call :meth:`forward` with a jagged batch.  It
   bit-identical across backends.
 
 Backends are *registered*, not hard-coded: ``"pgas"`` and ``"baseline"``
-are built in here, and other packages add their own via
-:func:`register_backend` (``repro.cache`` registers ``"pgas+cache"`` and
-``"baseline+cache"``) without any call-site edits.  A backend is a factory
-producing a :class:`RetrievalBackend` adapter bound to one
-:class:`DistributedEmbedding`; adapters are created lazily per instance and
-kept alive across batches (which is what lets stateful backends, like the
-hot-row cache, stay warm between calls).
+are built in here, the ``"<base>+<feature>"`` names are registered from
+the feature table of :mod:`repro.core.factory`, and other code can add
+its own via :func:`register_backend` without any call-site edits.  A
+backend is a factory producing a :class:`RetrievalBackend` adapter bound
+to one EMB host; adapters are created lazily per instance and kept alive
+across batches (which is what lets stateful backends, like the hot-row
+cache, stay warm between calls).
+
+Adapters come in two kinds:
+
+* :class:`BaseAdapter` — a communication strategy's engine: ``"pgas"``
+  (:class:`~repro.core.pgas_retrieval.PGASFusedRetrieval`, fused
+  one-sided writes) or ``"baseline"``
+  (:class:`~repro.core.baseline.BaselineRetrieval`, NCCL-style
+  collectives), with its *engine options*: the strategy's comm spec and
+  an optional :class:`~repro.comm.hier.HierSpec`.  Its ``batch_process``
+  is the engine's own generator and its ``run_timed`` the engine's
+  ``run_batch``; its functional forward is the strategy's numpy path,
+  over its own weights or an explicit ``sharded`` override.
+* :class:`FeatureLayer` — one feature over a base adapter, held as
+  ``inner``.  By default it is ``inner``; each feature overrides only
+  what it changes.
 
 Backend-name contract
 ---------------------
 A backend name is ``<base>`` or ``<base>+<feature>`` where ``<base>`` is a
-communication strategy (``"pgas"`` — fused one-sided writes — or
-``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a wrapper
-layered on top of it:
+communication strategy (``"pgas"`` or ``"baseline"``) and ``<feature>`` is
+one of:
 
-* ``"+cache"`` marks a backend whose EMB pass consults the hot-row cache;
-  it is configured by a :class:`repro.cache.CacheConfig` and *requires
+* ``"+cache"`` — a layer whose EMB pass consults the hot-row cache;
+  configured by a :class:`repro.cache.CacheConfig`, and it *requires
   index values* (its cost depends on which rows hit).
-* ``"+resilient"`` marks a backend wrapped in the fault-tolerant retry /
-  reroute / degrade layer, configured by a
+* ``"+resilient"`` — a layer running the fault-tolerant retry /
+  reroute / degrade state machine, configured by a
   :class:`repro.faults.ResilienceSpec`.
-* ``"+compress"`` marks a backend whose remote payloads are quantised by
-  a row codec before crossing the wire, configured by a
+* ``"+compress"`` — a layer quantising remote payloads with a row codec
+  before they cross the wire, configured by a
   :class:`repro.compress.CompressionSpec`.
-* ``"+replicated"`` marks a backend with k-way shard replicas, heartbeat
+* ``"+replicated"`` — a layer with k-way shard replicas, heartbeat
   failure detection, failover routing, and online re-replication,
   configured by a :class:`repro.replication.ReplicationSpec`.
-* ``"+reshard"`` marks a backend with the skew-aware online load
-  balancer: observed per-table traffic drives background table
-  migrations with serve-from-old-owner cutover, configured by a
+* ``"+reshard"`` — a layer with the skew-aware online load balancer:
+  observed per-table traffic drives background table migrations with
+  serve-from-old-owner cutover, configured by a
   :class:`repro.reshard.ReshardSpec`.
-* ``"+hier"`` marks a backend with topology-aware hierarchical routing:
-  cross-node traffic stages intra-node to a leader and crosses the NIC
-  as one coalesced stream per node pair, configured by a
-  :class:`repro.comm.hier.HierSpec` (routing changes timing only —
-  functional outputs stay bit-identical to the flat backend).
+* ``"+hier"`` — not a layer but an engine option: the base adapter built
+  with a :class:`repro.comm.hier.HierSpec`, so cross-node traffic stages
+  intra-node to a leader and crosses the NIC as one coalesced stream per
+  node pair (routing changes timing only — functional outputs stay
+  bit-identical to the flat backend).
 * A bare base name is the plain timed retrieval.
 
 Consumers do not dispatch on the suffix: every entry point that runs an
@@ -60,15 +74,13 @@ takes them from :func:`~repro.core.factory.parse_backend_name`.
 Registering a name that is already taken raises (pass ``overwrite=True``
 to replace deliberately).
 
-Stacking wrappers (two or more ``+<feature>`` suffixes, e.g.
+Stacking features (two or more ``+<feature>`` suffixes, e.g.
 ``"pgas+compress+resilient"``) has no defined semantics unless someone
 registers that composed backend explicitly: looking up an unregistered
 composition raises a ``ValueError`` naming the unsupported combination
-rather than silently picking one wrapper order.  The mechanical side of
-the contract — parsing names, attaching feature wrappers, the canonical
-composition order — lives in :mod:`repro.core.factory`; the feature
-packages' registry entries are thin aliases over its
-:func:`~repro.core.factory.build_adapter`.
+rather than silently picking one order.  Parsing names, building each
+name's adapter, and the canonical composition order live in
+:mod:`repro.core.factory`.
 
 Example
 -------
@@ -85,8 +97,10 @@ Example
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -99,6 +113,9 @@ from typing import (
 )
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..comm.hier import HierSpec
 
 from ..comm.collective import CollectiveSpec
 from ..comm.pgas import PGASSpec
@@ -121,9 +138,11 @@ from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
 __all__ = [
     "BackendInfo",
+    "BaseAdapter",
     "BackendName",
     "BackendSpec",
     "DistributedEmbedding",
+    "FeatureLayer",
     "ForwardResult",
     "RetrievalBackend",
     "available_backends",
@@ -131,8 +150,8 @@ __all__ = [
     "register_backend",
 ]
 
-#: A registered backend name.  ``"pgas"`` and ``"baseline"`` are built in;
-#: ``repro.cache`` adds ``"pgas+cache"`` and ``"baseline+cache"``.
+#: A registered backend name: ``"pgas"``, ``"baseline"``, or one of those
+#: with a ``+<feature>`` suffix (see the module docstring).
 BackendName = str
 
 
@@ -338,13 +357,60 @@ class ForwardResult:
         return self.timing.total_ns / 1e6
 
 
-class _PGASBackend(RetrievalBackend):
-    """Built-in adapter for the fused one-sided backend."""
+class BaseAdapter(RetrievalBackend):
+    """A communication strategy's engine, as a backend adapter.
 
-    def __init__(self, emb: "DistributedEmbedding"):
-        self._emb = emb
-        self.cluster = emb.cluster
-        self._engine = PGASFusedRetrieval(emb.cluster, emb.pgas_spec)
+    ``base`` picks the engine: ``"pgas"`` runs
+    :class:`~repro.core.pgas_retrieval.PGASFusedRetrieval` (fused
+    one-sided writes), ``"baseline"`` runs
+    :class:`~repro.core.baseline.BaselineRetrieval` (compute, all-to-all,
+    unpack).  The *engine options* are the strategy's comm spec
+    (``pgas_spec`` / ``collective_spec``) and ``hier_spec``, a
+    :class:`~repro.comm.hier.HierSpec` that routes cross-node traffic
+    through node leaders — the ``"+hier"`` backends are this adapter built
+    with one.  Routing changes timing only, so the functional forward is
+    the strategy's numpy path either way.
+
+    This is the bare ``"pgas"``/``"baseline"`` adapter, and the ``inner``
+    of every :class:`FeatureLayer`.  Its :meth:`batch_process` returns the
+    engine's own generator (no wrapping frame) and :meth:`run_timed` is the
+    engine's ``run_batch``.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        base: str = "pgas",
+        *,
+        pgas_spec: Optional[PGASSpec] = None,
+        collective_spec: Optional[CollectiveSpec] = None,
+        hier_spec: Optional["HierSpec"] = None,
+        sharded: Optional[ShardedEmbeddingTables] = None,
+    ):
+        if base == "pgas":
+            self.engine = PGASFusedRetrieval(cluster, pgas_spec, hier_spec=hier_spec)
+        elif base == "baseline":
+            self.engine = BaselineRetrieval(cluster, collective_spec, hier_spec=hier_spec)
+        else:
+            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
+        self.cluster = cluster
+        self.base_name = base
+        self.hier_spec = hier_spec
+        self.sharded = sharded
+
+    @classmethod
+    def for_host(
+        cls, emb, base: str, hier_spec: Optional["HierSpec"] = None
+    ) -> "BaseAdapter":
+        """The ``base`` engine with an EMB host's comm specs and weights."""
+        return cls(
+            emb.cluster,
+            base,
+            pgas_spec=emb.pgas_spec,
+            collective_spec=emb.collective_spec,
+            hier_spec=hier_spec,
+            sharded=emb.sharded,
+        )
 
     def batch_process(
         self,
@@ -355,8 +421,8 @@ class _PGASBackend(RetrievalBackend):
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ) -> ProcessGenerator:
-        """The fused engine's own generator (no wrapping frame)."""
-        return self._engine.batch_process(
+        """The engine's own generator (no wrapping frame)."""
+        return self.engine.batch_process(
             cluster, workloads, timing, stream_suffix=stream_suffix
         )
 
@@ -365,60 +431,103 @@ class _PGASBackend(RetrievalBackend):
         workloads: Sequence[DeviceWorkload],
         batch: Optional[SparseBatch] = None,
     ) -> PhaseTiming:
-        """Run the fused kernel simulation for one batch."""
-        return self._engine.run_batch(workloads)
+        """The engine's simulation of one batch."""
+        return self.engine.run_batch(workloads)
 
-    def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """One-sided-path numpy forward."""
-        assert self._emb.sharded is not None
-        return pgas_functional_forward(self._emb.sharded, batch)
-
-
-class _BaselineBackend(RetrievalBackend):
-    """Built-in adapter for the NCCL-collective baseline."""
-
-    def __init__(self, emb: "DistributedEmbedding"):
-        self._emb = emb
-        self.cluster = emb.cluster
-        self._engine = BaselineRetrieval(emb.cluster, emb.collective_spec)
-
-    def batch_process(
-        self,
-        cluster: Cluster,
-        workloads: Sequence[DeviceWorkload],
-        timing: PhaseTiming,
-        *,
-        batch: Optional[SparseBatch] = None,
-        stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """The collective engine's own generator (no wrapping frame)."""
-        return self._engine.batch_process(
-            cluster, workloads, timing, stream_suffix=stream_suffix
-        )
-
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Run the compute → all-to-all → unpack simulation for one batch."""
-        return self._engine.run_batch(workloads)
-
-    def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """Collective-path numpy forward (send blocks + unpack)."""
-        assert self._emb.sharded is not None
-        outputs, _blocks = baseline_functional_forward(self._emb.sharded, batch)
+    def functional_forward(
+        self, batch: SparseBatch, sharded: Optional[ShardedEmbeddingTables] = None
+    ) -> List[np.ndarray]:
+        """The strategy's numpy forward over ``sharded`` (default: the
+        adapter's own weights) — one-sided writes for ``"pgas"``, send
+        blocks plus unpack for ``"baseline"``."""
+        sharded = sharded if sharded is not None else self.sharded
+        if sharded is None:
+            raise ValueError("functional forward needs materialize=True weights")
+        if self.base_name == "pgas":
+            return pgas_functional_forward(sharded, batch)
+        outputs, _blocks = baseline_functional_forward(sharded, batch)
         return outputs
+
+
+class FeatureLayer(RetrievalBackend):
+    """One ``+<feature>`` over a :class:`BaseAdapter`.
+
+    Holds ``inner`` — the base adapter, built with the engine options the
+    layer is given (a layer may adjust them: compression shrinks the PGAS
+    message size to its wire row) — plus the ``cluster``, the sharding
+    ``table_plan``, the ``sharded`` weights (None when timing only) and the
+    ``base_name``.  By default :meth:`batch_process` and
+    :meth:`functional_forward` are ``inner``'s; a feature overrides only
+    what it changes.  :meth:`run_timed` stays the contract's default (one
+    ``cluster.run`` of this layer's own :meth:`batch_process`), so a layer
+    that changes the generator never also has to change the timed run.
+
+    A layer's constructor takes ``(cluster, plan, config, *, base,
+    collective_spec, pgas_spec, sharded)`` plus the EMB-host attributes
+    named in ``host_attrs``; :func:`~repro.core.factory.build_adapter`
+    supplies them from the host and its type-checked
+    ``features.<field>`` config.
+    """
+
+    host_attrs: Tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        plan: TableWiseSharding,
+        *,
+        base: str = "pgas",
+        collective_spec: Optional[CollectiveSpec] = None,
+        pgas_spec: Optional[PGASSpec] = None,
+        sharded: Optional[ShardedEmbeddingTables] = None,
+    ):
+        self.inner = BaseAdapter(
+            cluster, base, pgas_spec=pgas_spec, collective_spec=collective_spec,
+            sharded=sharded,
+        )
+        if cluster.n_devices != plan.n_devices:
+            raise ValueError(
+                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
+            )
+        self.cluster = cluster
+        self.table_plan = plan
+        self.base_name = base
+        self.sharded = sharded
+        self._tables = sharded.tables_by_name() if sharded is not None else {}
+
+    def weights_of(self, table_name: str) -> Optional[np.ndarray]:
+        """A table's weight array, or None when timing only."""
+        table = self._tables.get(table_name)
+        return table.weights if table is not None else None
+
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The base engine's generator (a feature that changes the
+        per-batch workloads or adds work overrides this)."""
+        return self.inner.batch_process(
+            cluster, workloads, timing, batch=batch, stream_suffix=stream_suffix
+        )
+
+    def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
+        """The base strategy's numpy forward over the layer's weights."""
+        return self.inner.functional_forward(batch)
 
 
 register_backend(
     "pgas",
-    _PGASBackend,
+    functools.partial(BaseAdapter.for_host, base="pgas"),
     description="fused one-sided PGAS-style writes (compute/comm overlapped)",
 )
 register_backend(
     "baseline",
-    _BaselineBackend,
+    functools.partial(BaseAdapter.for_host, base="baseline"),
     description="NCCL-style collective: compute, all-to-all, unpack",
 )
 

@@ -445,7 +445,9 @@ class InferenceServer:
         forward per batch and returns per-request output vectors in
         ``result.request_outputs`` — bit-identical regardless of the
         scheduler's ``max_in_flight`` because request features are
-        pre-drawn once and pooling is per-sample.
+        pre-drawn once and pooling is per-sample.  Only the bare base
+        backends materialise: a ``+<feature>`` name raises ``ValueError``
+        rather than serve outputs that ignore its feature.
         """
         if n_requests <= 0:
             raise ValueError("n_requests must be positive")
@@ -463,7 +465,17 @@ class InferenceServer:
         gen = SyntheticDataGenerator(workload)
         be = backend or pipeline.backend
         adapter = pipeline.backend_adapter(be)
-        base, features = parse_backend_name(be)
+        features = parse_backend_name(be)[1]
+        if materialize and features:
+            # The server's weights are its own (the pipeline's adapter is
+            # timing only), so only the base numpy forward could run here;
+            # serving it under a feature name would silently drop the
+            # feature (codec error, degraded zero-fill, failover).
+            raise ValueError(
+                f"materialize=True serves only the base backends; {be!r} has "
+                f"feature(s) {', '.join(features)} whose functional path the "
+                f"server cannot run"
+            )
         resilient = "resilient" in features
         obs = pipeline.features.obs
         tracing = obs is not None and obs.enabled
@@ -484,18 +496,7 @@ class InferenceServer:
             pool = None
             pool_lengths = gen.lengths_batch(batch_size=n_requests)
 
-        functional = None
-        if materialize:
-            from .functional import baseline_functional_forward, pgas_functional_forward
-
-            sharded = self._materialized_tables()
-            if base == "baseline":
-                def functional(b):
-                    outputs, _blocks = baseline_functional_forward(sharded, b)
-                    return outputs
-            else:
-                def functional(b):
-                    return pgas_functional_forward(sharded, b)
+        sharded = self._materialized_tables() if materialize else None
 
         # Per-request timestamps (NaN = not applicable / not served).
         arrival_t = np.full(n_requests, np.nan)
@@ -568,9 +569,9 @@ class InferenceServer:
                         sub_lengths, timing, be, stream_suffix=lease.suffix,
                         trace=ref,
                     )
-                return engine.process(proc_gen, name="serve_batch")
+                return engine.process(proc_gen, name="serve_batch"), timing
 
-            proc = launch()
+            proc, timing = launch()
             if spec.hedge_after_ns is None:
                 yield proc
             else:
@@ -580,8 +581,10 @@ class InferenceServer:
                     # The loser keeps draining in the background,
                     # occupying its streams and links.
                     n_hedged += 1
-                    hedge = launch()
+                    hedge, hedge_timing = launch()
                     yield engine.any_of([proc, hedge])
+                    if not proc.triggered:
+                        timing = hedge_timing
             done = engine.now
             done_t[rows_np] = done
             if ref is not None:
@@ -593,13 +596,17 @@ class InferenceServer:
                         f"serve.batch{batch_seq}", "serve", -1, t_dispatch, done
                     )
             if resilient:
-                outcome = adapter.pop_outcome()
+                # The winning execution's own outcome (it rides on the EMB
+                # timing that execution filled).
+                outcome = timing.emb.outcome
                 frac = outcome.degraded_fraction if outcome is not None else 0.0
                 degraded_t[rows_np] = frac
-            if functional is not None:
+            if sharded is not None:
                 # Per-device (B_g, F, d) outputs concatenate back to the
                 # batch's sample order, i.e. the dispatched row order.
-                flat = np.concatenate(functional(sub_batch), axis=0)
+                flat = np.concatenate(
+                    adapter.functional_forward(sub_batch, sharded=sharded), axis=0
+                )
                 for i, rid in enumerate(rows):
                     outputs_t[rid] = flat[i]
             n_done += len(rows)

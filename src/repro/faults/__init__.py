@@ -18,8 +18,9 @@ This package provides:
   degradation (hot-row fallback cache, then zero-fill) instead of
   failure.
 
-Importing this package registers the ``"pgas+resilient"`` and
-``"baseline+resilient"`` backends with the core registry, so
+The ``repro`` package registers the ``"pgas+resilient"`` and
+``"baseline+resilient"`` backends (one feature-table entry in
+:mod:`repro.core.factory`), so
 
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+resilient",
 ...                            features=FeatureSpec(resilience=ResilienceSpec(deadline_ns=2 * ms)))
@@ -31,8 +32,6 @@ pass-through.
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .injector import SPAN_CATEGORY, WINDOW_COUNTER, FaultInjector, pair_is_down
 from .plan import DEVICE_KINDS, FAULT_KINDS, LINK_KINDS, FaultEvent, FaultPlan
 from .resilient import BatchOutcome, ResilienceSpec, ResilientRetrieval
@@ -50,41 +49,5 @@ __all__ = [
     "SPAN_CATEGORY",
     "WINDOW_COUNTER",
     "pair_is_down",
-    "resilient_retrieval_for",
 ]
 
-
-def resilient_retrieval_for(emb, base: str) -> ResilientRetrieval:
-    """Build a :class:`ResilientRetrieval` bound to an EMB host
-    (see :func:`~repro.core.factory.build_adapter`; the registry
-    factories' shared implementation)."""
-    spec = emb.features.resilience
-    if spec is not None and not isinstance(spec, ResilienceSpec):
-        raise TypeError(
-            f"features.resilience must be a ResilienceSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return ResilientRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or ResilienceSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+resilient",
-    lambda emb: build_adapter(emb, "pgas+resilient"),
-    requires_indices=False,
-    description="PGAS retrieval under the retry/reroute/degrade fault wrapper",
-)
-register_backend(
-    "baseline+resilient",
-    lambda emb: build_adapter(emb, "baseline+resilient"),
-    requires_indices=False,
-    description="collective retrieval under the retry/reroute/degrade fault wrapper",
-)

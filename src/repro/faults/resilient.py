@@ -32,15 +32,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..cache.hotrow import CacheConfig, HotRowCache
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..cache.hotrow import CacheConfig, HotRowCache, remote_lookups
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables
+from ..core.retrieval import FeatureLayer
 from ..core.sharding import TableWiseSharding, minibatch_bounds
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
@@ -150,16 +145,15 @@ class _BatchState:
     fully_degraded: bool = False
 
 
-class ResilientRetrieval(RetrievalBackend):
+class ResilientRetrieval(FeatureLayer):
     """A base retrieval backend wrapped in the fault-handling state machine.
 
     Standalone use takes a cluster plus sharding plan; as a registered
     backend (``"pgas+resilient"``, ``"baseline+resilient"``) it is built
-    from a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``resilience`` config.
+    from an EMB host and its ``features.resilience`` config.  Each batch's
+    :class:`BatchOutcome` is set on the :class:`PhaseTiming` that batch
+    fills (``timing.outcome``), so concurrent batches each read their own.
     """
-
-    requires_indices = False
 
     def __init__(
         self,
@@ -172,29 +166,16 @@ class ResilientRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        elif base == "baseline":
-            self.base = BaselineRetrieval(cluster, collective_spec)
-        else:
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
+        super().__init__(
+            cluster, plan, base=base, collective_spec=collective_spec,
+            pgas_spec=pgas_spec, sharded=sharded,
+        )
         self.spec = spec or ResilienceSpec()
-        self.sharded = sharded
         self._rng = np.random.default_rng(self.spec.seed)
-        self._tables = {}
-        if sharded is not None:
-            for tables in sharded.per_device:
-                for t in tables:
-                    self._tables[t.name] = t
         self._fallback: Optional[List[HotRowCache]] = None
         self._last_state: Optional[_BatchState] = None
+        #: the most recent batch's outcome (sequential use; concurrent
+        #: batches read ``timing.outcome`` instead)
         self.last_outcome: Optional[BatchOutcome] = None
         self.outcomes: List[BatchOutcome] = []
 
@@ -204,16 +185,10 @@ class ResilientRetrieval(RetrievalBackend):
         if self.spec.fallback_cache is None:
             return None
         if self._fallback is None:
-            plan = self.table_plan
-            self._fallback = [
-                HotRowCache(
-                    dev,
-                    [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
-                    self.spec.fallback_cache,
-                    materialize=self.sharded is not None,
-                )
-                for dev in self.cluster.devices
-            ]
+            self._fallback = HotRowCache.per_device(
+                self.cluster, self.table_plan, self.spec.fallback_cache,
+                materialize=self.sharded is not None,
+            )
         return self._fallback
 
     def warm_fallback(self, batches: Sequence[SparseBatch]) -> None:
@@ -221,26 +196,8 @@ class ResilientRetrieval(RetrievalBackend):
         caches = self._ensure_fallback()
         if caches is None:
             raise ValueError("warm_fallback needs spec.fallback_cache set")
-        plan = self.table_plan
-        G = plan.n_devices
-        for batch in batches:
-            bounds = minibatch_bounds(batch.batch_size, G)
-            for t in plan.table_configs:
-                owner = plan.owner_of(t.name)
-                source = self._weights_of(t.name)
-                fld = batch.field(t.name)
-                for g in range(G):
-                    if g == owner:
-                        continue
-                    sl = fld.slice_samples(*bounds[g])
-                    if not sl.nnz:
-                        continue
-                    rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
-                    caches[g].lookup_rows(t.name, rows, source=source)
-
-    def _weights_of(self, table_name: str) -> Optional[np.ndarray]:
-        table = self._tables.get(table_name)
-        return table.weights if table is not None else None
+        for g, t, rows in remote_lookups(self.table_plan, batches):
+            caches[g].lookup_rows(t.name, rows, source=self.weights_of(t.name))
 
     # -- partition ---------------------------------------------------------------
 
@@ -330,7 +287,7 @@ class ResilientRetrieval(RetrievalBackend):
                 fld = batch.field(t.name)
                 sl = fld.slice_samples(lo, hi)
                 rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
-                acc = caches[g].lookup_rows(t.name, rows, source=self._weights_of(t.name))
+                acc = caches[g].lookup_rows(t.name, rows, source=self.weights_of(t.name))
                 lengths = fld.lengths[lo:hi].astype(np.int64)
                 hits = np.zeros(hi - lo, dtype=np.int64)
                 if sl.nnz:
@@ -366,11 +323,11 @@ class ResilientRetrieval(RetrievalBackend):
 
     def _message_params(self) -> Tuple[int, int]:
         """Wire framing of forwarded payloads, matching the base backend."""
-        if isinstance(self.base, PGASFusedRetrieval):
-            pspec = self.base.pgas.spec
+        engine = self.inner.engine
+        if self.base_name == "pgas":
+            pspec = engine.pgas.spec
             return pspec.message_bytes, pspec.header_bytes
-        cspec = self.base.collectives.spec
-        return 0, cspec.per_chunk_header_bytes
+        return 0, engine.collectives.spec.per_chunk_header_bytes
 
     def _forward_route(
         self, cluster: Cluster, src: int, via: int, dst: int,
@@ -400,7 +357,7 @@ class ResilientRetrieval(RetrievalBackend):
         engine = cluster.engine
         procs = [
             engine.process(
-                self.base.batch_process(
+                self.inner.batch_process(
                     cluster, list(workloads), timing, stream_suffix=stream_suffix
                 ),
                 name=f"resilient_{self.base_name}",
@@ -428,7 +385,8 @@ class ResilientRetrieval(RetrievalBackend):
 
         Composable into larger host programs exactly like the base
         backends' ``batch_process``; ``timing`` is filled at completion
-        (``total_ns`` includes backoff and retries).  ``stream_suffix``
+        (``total_ns`` includes backoff and retries) and carries the batch's
+        :class:`BatchOutcome` as ``timing.outcome``.  ``stream_suffix``
         passes through to the wrapped backend's per-batch stream set.
         """
         engine = cluster.engine
@@ -483,6 +441,7 @@ class ResilientRetrieval(RetrievalBackend):
         timing.sync_unpack_ns = sub.sync_unpack_ns
         timing.total_ns = engine.now - t0
         outcome.emb_ns = timing.total_ns
+        timing.outcome = outcome
         self._stamp_counters(outcome)
         self._last_state = state
         self.last_outcome = outcome
@@ -503,11 +462,6 @@ class ResilientRetrieval(RetrievalBackend):
             prof.add_count(
                 CACHE_SERVED_COUNTER, t, float(outcome.cache_served_bags), unit="bags"
             )
-
-    def pop_outcome(self) -> Optional[BatchOutcome]:
-        """The most recent batch's outcome, consumed (None if already read)."""
-        outcome, self.last_outcome = self.last_outcome, None
-        return outcome
 
     def ledger_totals(self) -> Dict[str, float]:
         """Lifetime resilience totals across every batch, as a plain dict.
@@ -540,12 +494,7 @@ class ResilientRetrieval(RetrievalBackend):
         (owner, dst) pairs are zero-filled except bags fully served from
         the fallback cache.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
-        if self.base_name == "pgas":
-            outputs = pgas_functional_forward(self.sharded, batch)
-        else:
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
+        outputs = self.inner.functional_forward(batch)
         state = self._last_state
         if state is None or (not state.degraded_pairs and not state.fully_degraded):
             return outputs

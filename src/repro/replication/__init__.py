@@ -19,8 +19,9 @@ re-replication:
   interconnect, stamping ``availability.*`` counters and per-link
   recovery bytes into traces.
 
-Importing this package registers the ``"pgas+replicated"`` and
-``"baseline+replicated"`` backends with the core registry, so
+The ``repro`` package registers the ``"pgas+replicated"`` and
+``"baseline+replicated"`` backends (one feature-table entry in
+:mod:`repro.core.factory`), so
 
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+replicated",
 ...                            features=FeatureSpec(replication=ReplicationSpec(k=2)))
@@ -31,8 +32,6 @@ you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .retrieval import (
     BATCH_LOOKUPS_COUNTER,
     DETECTION_COUNTER,
@@ -56,39 +55,5 @@ __all__ = [
     "REPROTECT_COUNTER",
     "ReplicatedRetrieval",
     "ReplicationSpec",
-    "replicated_retrieval_for",
 ]
 
-
-def replicated_retrieval_for(emb, base: str) -> ReplicatedRetrieval:
-    """Build a :class:`ReplicatedRetrieval` bound to an EMB host
-    (see :func:`~repro.core.factory.build_adapter`; the registry
-    factories' shared implementation)."""
-    spec = emb.features.replication
-    if spec is not None and not isinstance(spec, ReplicationSpec):
-        raise TypeError(
-            f"features.replication must be a ReplicationSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return ReplicatedRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or ReplicationSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+replicated",
-    lambda emb: build_adapter(emb, "pgas+replicated"),
-    description="PGAS retrieval with k-way shard replicas, heartbeat failover, and online re-replication",
-)
-register_backend(
-    "baseline+replicated",
-    lambda emb: build_adapter(emb, "baseline+replicated"),
-    description="collective retrieval with k-way shard replicas, heartbeat failover, and online re-replication",
-)

@@ -46,14 +46,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables
+from ..core.retrieval import FeatureLayer
 from ..core.sharding import TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
@@ -122,16 +117,13 @@ class AvailabilityLedger:
         }
 
 
-class ReplicatedRetrieval(RetrievalBackend):
+class ReplicatedRetrieval(FeatureLayer):
     """A base retrieval backend with k-way shard replication and failover.
 
     Standalone use takes a cluster plus sharding plan; as a registered
     backend (``"pgas+replicated"``, ``"baseline+replicated"``) it is
-    built from a :class:`~repro.core.retrieval.DistributedEmbedding` and
-    its ``replication`` config.
+    built from an EMB host and its ``features.replication`` config.
     """
-
-    requires_indices = False
 
     def __init__(
         self,
@@ -144,26 +136,16 @@ class ReplicatedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
+        super().__init__(
+            cluster, plan, base=base, collective_spec=collective_spec,
+            pgas_spec=pgas_spec, sharded=sharded,
+        )
         self.spec = spec or ReplicationSpec()
         if self.spec.k > cluster.n_devices:
             raise ValueError(
                 f"replication factor k={self.spec.k} exceeds the "
                 f"{cluster.n_devices}-device cluster"
             )
-        self.sharded = sharded
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
         G = cluster.n_devices
         #: per-table holder device lists, primary first; recovery appends
         self._holders: List[List[int]] = [
@@ -380,13 +362,13 @@ class ReplicatedRetrieval(RetrievalBackend):
         failures.  With no detected failures this is the wrapped backend's
         generator, event for event."""
         if not self._failed:
-            yield from self.base.batch_process(
+            yield from self.inner.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
             )
             self._ledger_batch(workloads, moved=0, unavailable=0, impaired=False)
             return
         adjusted, moved, unavailable = self._failover_workloads(list(workloads))
-        yield from self.base.batch_process(
+        yield from self.inner.batch_process(
             cluster, adjusted, timing, stream_suffix=stream_suffix
         )
         self._ledger_batch(workloads, moved=moved, unavailable=unavailable, impaired=True)
@@ -431,13 +413,10 @@ class ReplicatedRetrieval(RetrievalBackend):
         has a live holder the outputs are bit-identical to the healthy
         reference; tables with no live holder are zero-filled.
         """
+        if not self._failed:
+            return self.inner.functional_forward(batch)
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
-        if not self._failed:
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
         plan = self.table_plan
         owners = self.effective_owners()
         # The re-shard must stay an exact partition, so tables with no live
@@ -446,19 +425,9 @@ class ReplicatedRetrieval(RetrievalBackend):
             name: (dev if dev is not None else plan.owner_of(name))
             for name, dev in owners.items()
         }
-        failover_plan = TableWiseSharding.from_assignment(
-            plan.table_configs, plan.n_devices, assignment
+        outputs = self.inner.functional_forward(
+            batch, sharded=self.sharded.reassigned(assignment)
         )
-        tables = {t.name: t for per in self.sharded.per_device for t in per}
-        per_device = [
-            [tables[cfg.name] for cfg in failover_plan.tables_on(d)]
-            for d in range(plan.n_devices)
-        ]
-        failover_sharded = ShardedEmbeddingTables(failover_plan, per_device)
-        if self.base_name == "pgas":
-            outputs = pgas_functional_forward(failover_sharded, batch)
-        else:
-            outputs, _blocks = baseline_functional_forward(failover_sharded, batch)
         for name, dev in owners.items():
             if dev is None:
                 fidx = plan.feature_index(name)

@@ -25,8 +25,9 @@ online:
   tables keep serving from the old owner until their last chunk lands,
   so functional outputs stay bit-identical throughout.
 
-Importing this package registers the ``"pgas+reshard"`` and
-``"baseline+reshard"`` backends with the core registry, so
+The ``repro`` package registers the ``"pgas+reshard"`` and
+``"baseline+reshard"`` backends (one feature-table entry in
+:mod:`repro.core.factory`), so
 
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+reshard",
 ...                            features=FeatureSpec(reshard=ReshardSpec()))
@@ -36,8 +37,6 @@ works exactly like the static backends (``repro`` imports it for you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .executor import (
     ADVISORIES_COUNTER,
     MIGRATION_BYTES_COUNTER,
@@ -68,40 +67,5 @@ __all__ = [
     "ReshardSpec",
     "RowSplitAdvisory",
     "TableMove",
-    "reshard_retrieval_for",
 ]
 
-
-def reshard_retrieval_for(emb, base: str) -> ReshardRetrieval:
-    """Build a :class:`ReshardRetrieval` bound to an EMB host
-    (see :func:`~repro.core.factory.build_adapter`; the registry
-    factories' shared implementation)."""
-    spec = emb.features.reshard
-    if spec is not None and not isinstance(spec, ReshardSpec):
-        raise TypeError(
-            f"features.reshard must be a ReshardSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return ReshardRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or ReshardSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-        weight_buffers=emb.weight_buffers,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+reshard",
-    lambda emb: build_adapter(emb, "pgas+reshard"),
-    description="PGAS retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-)
-register_backend(
-    "baseline+reshard",
-    lambda emb: build_adapter(emb, "baseline+reshard"),
-    description="collective retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-)

@@ -35,14 +35,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables
+from ..core.retrieval import FeatureLayer
 from ..core.sharding import ShardingError, TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
@@ -79,16 +74,16 @@ class ReshardLedger:
         }
 
 
-class ReshardRetrieval(RetrievalBackend):
+class ReshardRetrieval(FeatureLayer):
     """A base retrieval backend with skew-aware online table migration.
 
     Standalone use takes a cluster plus sharding plan; as a registered
     backend (``"pgas+reshard"``, ``"baseline+reshard"``) it is built from
-    a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``reshard`` config.
+    an EMB host, its ``features.reshard`` config and its
+    ``weight_buffers`` (which migration cutover re-homes).
     """
 
-    requires_indices = False
+    host_attrs = ("weight_buffers",)
 
     def __init__(
         self,
@@ -102,21 +97,11 @@ class ReshardRetrieval(RetrievalBackend):
         sharded: Optional[ShardedEmbeddingTables] = None,
         weight_buffers: Optional[Dict[str, object]] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
+        super().__init__(
+            cluster, plan, base=base, collective_spec=collective_spec,
+            pgas_spec=pgas_spec, sharded=sharded,
+        )
         self.spec = spec or ReshardSpec()
-        self.sharded = sharded
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
         self._static_owners: Dict[str, int] = {
             cfg.name: plan.owner_of(cfg.name) for cfg in plan.table_configs
         }
@@ -191,12 +176,12 @@ class ReshardRetrieval(RetrievalBackend):
         event for event."""
         owners = dict(self._owners)
         if owners == self._static_owners:
-            yield from self.base.batch_process(
+            yield from self.inner.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
             )
         else:
             adjusted = rehome_workloads(self.table_plan, list(workloads), owners)
-            yield from self.base.batch_process(
+            yield from self.inner.batch_process(
                 cluster, adjusted, timing, stream_suffix=stream_suffix
             )
         self._after_batch(list(workloads))
@@ -264,27 +249,13 @@ class ReshardRetrieval(RetrievalBackend):
         outputs partition by sample, so results are bit-identical to the
         static-plan reference regardless of how many tables have moved.
         """
+        if self._owners == self._static_owners:
+            return self.inner.functional_forward(batch)
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
-        if self._owners == self._static_owners:
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
-        plan = self.table_plan
-        current_plan = TableWiseSharding.from_assignment(
-            plan.table_configs, plan.n_devices, dict(self._owners)
+        return self.inner.functional_forward(
+            batch, sharded=self.sharded.reassigned(dict(self._owners))
         )
-        tables = {t.name: t for per in self.sharded.per_device for t in per}
-        per_device = [
-            [tables[cfg.name] for cfg in current_plan.tables_on(d)]
-            for d in range(plan.n_devices)
-        ]
-        current_sharded = ShardedEmbeddingTables(current_plan, per_device)
-        if self.base_name == "pgas":
-            return pgas_functional_forward(current_sharded, batch)
-        outputs, _blocks = baseline_functional_forward(current_sharded, batch)
-        return outputs
 
     # -- reporting ---------------------------------------------------------------
 

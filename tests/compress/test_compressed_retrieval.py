@@ -107,7 +107,7 @@ class TestScaledWires:
     def test_pgas_message_bytes_is_row_wire(self):
         emb = build(CFG, "pgas+compress", codec="int8")
         adapter = emb.backend_adapter("pgas+compress")
-        assert adapter.base.pgas.spec.message_bytes == 16 + 4
+        assert adapter.inner.engine.pgas.spec.message_bytes == 16 + 4
 
     def test_fused_encode_inflates_kernel_traffic(self):
         emb = build(CFG, "pgas+compress", codec="int8")

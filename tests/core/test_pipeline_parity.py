@@ -5,6 +5,7 @@ times for every registered backend, and a name it cannot run raises."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -80,3 +81,13 @@ def test_int8_compressed_server_moves_fewer_wire_bytes():
 def test_bad_names_raise_at_pipeline_construction(name):
     with pytest.raises(ValueError):
         DLRMInferencePipeline(PipelineConfig(workload=SPEC.workload), 2, backend=name)
+
+
+@pytest.mark.parametrize("backend", ["pgas+compress", "baseline+resilient", "pgas+hier"])
+def test_materialised_serving_refuses_feature_names(backend):
+    pipe = DLRMInferencePipeline(
+        SPEC.pipeline_config(), 4, backend=backend, features=SPEC.features()
+    )
+    server = InferenceServer(pipe, ServingSpec(arrival_qps=200_000.0, max_batch=64, seed=3))
+    with pytest.raises(ValueError, match=re.escape(backend)):
+        server.simulate(16, materialize=True)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.factory import FeatureSpec
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
-from repro.core.serving import InferenceServer, ServingResult, ServingSpec
+from repro.core.serving import InferenceServer, SchedulerSpec, ServingResult, ServingSpec
 from repro.dlrm.data import WorkloadConfig
 from repro.faults import FaultInjector, FaultPlan, ResilienceSpec
 from repro.simgpu.trace import chrome_trace
@@ -177,3 +177,34 @@ class TestZeroServedGuards:
         assert r.deadline_hit_rate == 0.0
         assert r.goodput_qps == 0.0
         assert r.shed_fraction == 1.0
+
+
+class TestOutcomePerBatch:
+    """With two batches in flight, each batch's degraded share must come
+    from its own resilience outcome, not from whichever batch finished
+    last."""
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_degraded_share_matches_adapter_outcomes(self, seed):
+        cfg = small_cfg(batch_size=256)
+        pipeline = DLRMInferencePipeline(
+            PipelineConfig(workload=cfg),
+            2,
+            backend="pgas+resilient",
+            features=FeatureSpec(resilience=ResilienceSpec(deadline_ns=0.25 * ms)),
+        )
+        FaultInjector(
+            pipeline.cluster, FaultPlan.generate(2, 6 * ms, severity=1.0, seed=seed)
+        ).install()
+        spec = ServingSpec(
+            arrival_qps=100_000.0, max_batch=8, batch_window_ns=0.05 * ms, seed=1,
+            deadline_ns=2 * ms, scheduler=SchedulerSpec(max_in_flight=2),
+        )
+        result = InferenceServer(pipeline, spec).simulate(400)
+        outcomes = pipeline.backend_adapter().outcomes
+        assert len(outcomes) == len(result.batch_sizes)
+        # total_bags = batch size x tables, so degraded_bags / tables is the
+        # batch's degraded requests (batch size x degraded fraction).
+        from_outcomes = sum(o.degraded_bags for o in outcomes) / cfg.num_tables
+        assert from_outcomes > 0
+        assert result.degraded_per_request.sum() == pytest.approx(from_outcomes)
